@@ -76,6 +76,89 @@ SharedInputs::techlibFor(sched::TimingMode mode)
     return tech;
 }
 
+CompileSession::CompileSession(std::string cache_dir,
+                               size_t cache_max_entries)
+    : cacheDir_(std::move(cache_dir)),
+      cacheMaxEntries_(cache_max_entries)
+{
+}
+
+bool
+CompileSession::lookup(const std::string &key, BatchUnitOutcome &out)
+{
+    if (cacheDir_.empty())
+        return false;
+    CompileSummary cached;
+    switch (cacheLoad(cacheDir_, key, cached)) {
+    case CacheLookup::Hit:
+        out.summary = std::move(cached);
+        out.ok = out.summary.ok;
+        out.fromCache = true;
+        return true;
+    case CacheLookup::Miss:
+        break;
+    case CacheLookup::Corrupt:
+        out.cacheCorrupt = true;
+        break;
+    case CacheLookup::Injected:
+        out.cacheInjected = true;
+        break;
+    }
+    return false;
+}
+
+void
+CompileSession::compile(const BatchRequest &req, const std::string &key,
+                        BatchUnitOutcome &out)
+{
+    // Shared read-only inputs, parsed/constructed once per session.
+    CompileOptions opts = req.options;
+    auto tech = shared_.techlibFor(opts.timingMode);
+    opts.techlib = tech.get();
+    std::shared_ptr<const scaiev::Datasheet> sheet;
+    if (!opts.datasheet) {
+        sheet = shared_.datasheetFor(opts.coreName);
+        if (sheet)
+            opts.datasheet = sheet.get();
+    }
+
+    auto full = std::make_shared<CompiledIsax>(
+        compileWithRetry(req.source, req.target, opts));
+    out.summary = summarize(*full);
+    out.ok = full->ok();
+    out.full = std::move(full);
+
+    if (out.ok && !cacheDir_.empty())
+        out.cacheStored =
+            cacheStore(cacheDir_, key, out.summary, cacheMaxEntries_);
+
+    // Fail-soft cache events surface as LN-coded advisories at the
+    // front of the unit's diagnostics (they happened first).
+    if (out.cacheCorrupt)
+        out.summary.diags.insert(
+            out.summary.diags.begin(),
+            cacheEventWarning("LN3010", "corrupted cache entry for '" +
+                                            req.unitName +
+                                            "': recompiled"));
+    if (out.cacheInjected)
+        out.summary.diags.insert(
+            out.summary.diags.begin(),
+            cacheEventWarning("LN3903",
+                              "injected fault at failpoint 'cache': "
+                              "treated as a miss for '" +
+                                  req.unitName + "'"));
+}
+
+CompileSummary
+CompileSession::replayable(const BatchUnitOutcome &out)
+{
+    CompileSummary summary = out.summary;
+    // compile() put at most one advisory at the front.
+    if (out.cacheCorrupt || out.cacheInjected)
+        summary.diags.erase(summary.diags.begin());
+    return summary;
+}
+
 const std::vector<std::string> &
 builtinCores()
 {
@@ -119,9 +202,16 @@ compileBatch(std::vector<BatchRequest> requests,
                          return a.unitName < b.unitName;
                      });
 
+    // In-flight compiles stop at their next phase boundary on the
+    // batch's token unless a request brings its own.
+    if (options.cancel)
+        for (BatchRequest &req : requests)
+            if (!req.options.cancel)
+                req.options.cancel = options.cancel;
+
     BatchResult result;
     result.units.resize(requests.size());
-    SharedInputs shared;
+    CompileSession session(options.cacheDir, options.cacheMaxEntries);
 
     auto compile_one = [&](size_t i) {
         const BatchRequest &req = requests[i];
@@ -170,67 +260,10 @@ compileBatch(std::vector<BatchRequest> requests,
         }
 
         std::string key;
-        if (!options.cacheDir.empty()) {
+        if (!options.cacheDir.empty())
             key = cacheKey(req.source, req.target, req.options);
-            CompileSummary cached;
-            switch (cacheLoad(options.cacheDir, key, cached)) {
-            case CacheLookup::Hit:
-                out.summary = std::move(cached);
-                out.ok = out.summary.ok;
-                out.fromCache = true;
-                return;
-            case CacheLookup::Miss:
-                break;
-            case CacheLookup::Corrupt:
-                out.cacheCorrupt = true;
-                break;
-            case CacheLookup::Injected:
-                out.cacheInjected = true;
-                break;
-            }
-        }
-
-        // Shared read-only inputs, parsed/constructed once per batch.
-        CompileOptions opts = req.options;
-        if (options.cancel && !opts.cancel)
-            opts.cancel = options.cancel;
-        auto tech = shared.techlibFor(opts.timingMode);
-        opts.techlib = tech.get();
-        std::shared_ptr<const scaiev::Datasheet> sheet;
-        if (!opts.datasheet) {
-            sheet = shared.datasheetFor(opts.coreName);
-            if (sheet)
-                opts.datasheet = sheet.get();
-        }
-
-        auto full = std::make_shared<CompiledIsax>(
-            compile(req.source, req.target, opts));
-        out.summary = summarize(*full);
-        out.ok = full->ok();
-        out.full = std::move(full);
-
-        // Store before decorating: cache events describe THIS run's
-        // lookup, so they must never be replayed from the cache.
-        if (out.ok && !options.cacheDir.empty())
-            out.cacheStored = cacheStore(options.cacheDir, key,
-                                         out.summary,
-                                         options.cacheMaxEntries);
-
-        // Fail-soft cache events surface as LN-coded advisories at the
-        // front of the unit's diagnostics (they happened first).
-        if (out.cacheCorrupt)
-            out.summary.diags.insert(
-                out.summary.diags.begin(),
-                cacheEventWarning(
-                    "LN3010", "corrupted cache entry for '" +
-                                  req.unitName + "': recompiled"));
-        if (out.cacheInjected)
-            out.summary.diags.insert(
-                out.summary.diags.begin(),
-                cacheEventWarning(
-                    "LN3903", "injected fault at failpoint 'cache': "
-                              "treated as a miss for '" +
-                                  req.unitName + "'"));
+        if (!session.lookup(key, out))
+            session.compile(req, key, out);
     };
 
     unsigned jobs = options.jobs;

@@ -143,6 +143,51 @@ class SharedInputs
     std::map<int, std::shared_ptr<const sched::TechLibrary>> techs_;
 };
 
+/**
+ * The one per-unit compile path behind one-shot, batch and serve: a
+ * disk-cache lookup, then -- on a miss -- a fresh compile with the
+ * session's shared inputs, retried on transient faults, summarized,
+ * stored, and prefixed with the lookup's LN3010/LN3903 advisories.
+ * Callers put their own tiers, admission and scheduling in front
+ * (serve runs lookup() on its connection thread and only compile() on
+ * its pool). Thread-safe: every worker of one batch or server shares
+ * one session.
+ */
+class CompileSession
+{
+  public:
+    /** @p cache_dir empty disables the disk tier. */
+    explicit CompileSession(std::string cache_dir = "",
+                            size_t cache_max_entries = 0);
+
+    /**
+     * Disk tier for @p key (driver::cacheKey of the request). On a hit
+     * fills @p out (summary, ok, fromCache) and returns true. A
+     * corrupt entry or an injected lookup fault is recorded on @p out
+     * (cacheCorrupt/cacheInjected) for compile() to report. Always a
+     * miss without a cache directory.
+     */
+    bool lookup(const std::string &key, BatchUnitOutcome &out);
+
+    /**
+     * Compile @p req afresh into @p out (summary, ok, full). A
+     * successful summary is stored under @p key before it is
+     * decorated: cache events describe this run's lookup and must
+     * never be replayed from the cache.
+     */
+    void compile(const BatchRequest &req, const std::string &key,
+                 BatchUnitOutcome &out);
+
+    /** The summary of @p out as a later replay of its cache entry
+     * returns it: without the advisory of this run's lookup. */
+    static CompileSummary replayable(const BatchUnitOutcome &out);
+
+  private:
+    std::string cacheDir_;
+    size_t cacheMaxEntries_;
+    SharedInputs shared_;
+};
+
 } // namespace driver
 } // namespace longnail
 

@@ -1,11 +1,9 @@
 #include "driver/longnail.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <thread>
 
 #include "analysis/lint.hh"
 #include "analysis/tv/tv.hh"
@@ -21,7 +19,6 @@
 #include "rtl/sim.hh"
 #include "rtl/verilog.hh"
 #include "support/failpoint.hh"
-#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace longnail {
@@ -637,67 +634,21 @@ compile(const std::string &source, const std::string &target,
     return result;
 }
 
-/**
- * Backoff before retry attempt @p next_attempt (2-based): capped
- * exponential with deterministic jitter. The jitter is derived from
- * the input digest and the attempt number, so identical inputs back
- * off identically run to run (no RNG -- determinism is a project
- * invariant) while distinct inputs retried in parallel still spread
- * out instead of thundering in lockstep.
- */
-double
-retryBackoffMs(const std::string &source, unsigned next_attempt,
-               const CompileOptions &options)
-{
-    if (options.retryBaseDelayMs <= 0.0)
-        return 0.0;
-    double delay = options.retryBaseDelayMs;
-    for (unsigned i = 2; i < next_attempt; ++i) {
-        delay *= 2.0;
-        if (delay >= options.retryMaxDelayMs)
-            break;
-    }
-    delay = std::min(delay, options.retryMaxDelayMs);
-    // Up to +50% jitter from the first 8 hex digits of the digest.
-    hash::Sha256 h;
-    h.updateField(source);
-    h.updateField(std::to_string(next_attempt));
-    uint32_t bits =
-        uint32_t(std::stoul(h.hexDigest().substr(0, 8), nullptr, 16));
-    double jitter = delay * 0.5 * (double(bits) / 4294967295.0);
-    return delay + jitter;
-}
-
 CompiledIsax
 compileWithRetry(const std::string &source, const std::string &target,
-                 const CompileOptions &options, unsigned max_attempts)
+                 const CompileOptions &options)
 {
-    if (max_attempts == 0)
-        max_attempts = options.retryMaxAttempts;
-    if (max_attempts == 0)
-        max_attempts = 1;
     CompiledIsax result;
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        if (attempt > 1) {
-            double backoff_ms =
-                retryBackoffMs(source, attempt, options);
-            if (backoff_ms > 0.0) {
-                obs::count("driver.retry_backoff_ms",
-                           uint64_t(backoff_ms));
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        backoff_ms));
-            }
+    for (unsigned attempt = 1; attempt <= maxCompileAttempts; ++attempt) {
+        if (attempt > 1)
             obs::count("driver.retries");
-        }
         failpoint::clearTransientFired();
         result = compile(source, target, options);
         result.attempts = attempt;
         result.retryable = failpoint::transientFired();
         if (result.ok() || !result.retryable)
             break;
-        // A cancelled caller must not sit out the remaining backoff
-        // schedule (Ctrl-C during a retry loop, server drain).
+        // A cancelled caller gets its LN3011 now, not after more tries.
         if (options.cancel && options.cancel->stopRequested())
             break;
     }
@@ -810,29 +761,24 @@ registerIsaxMnemonics(rvasm::Assembler &assembler,
                 uint32_t word = info->match;
                 for (size_t i = 0; i < operands.size(); ++i) {
                     const OperandSpec &spec = plan_copy[i];
-                    uint32_t value;
+                    long long value;
                     if (spec.isRegister) {
-                        int reg = rvasm::Assembler::parseRegister(
+                        value = rvasm::Assembler::parseRegister(
                             operands[i]);
-                        if (reg < 0) {
+                        if (value < 0) {
                             error = "bad register '" + operands[i] +
                                     "'";
                             return std::nullopt;
                         }
-                        value = uint32_t(reg);
                     } else {
                         try {
-                            value = uint32_t(
-                                std::stoll(operands[i], nullptr, 0));
+                            value = std::stoll(operands[i], nullptr, 0);
                         } catch (const std::exception &) {
                             error = "bad immediate '" + operands[i] +
                                     "'";
                             return std::nullopt;
                         }
                     }
-                    std::string fname = spec.isRegister
-                                            ? spec.field
-                                            : spec.field;
                     // Registers map onto the rd/rs1/rs2 positions; the
                     // actual field names may differ.
                     const coredsl::FieldInfo *field = nullptr;
@@ -855,7 +801,18 @@ registerIsaxMnemonics(rvasm::Assembler &assembler,
                         error = "internal: field not found";
                         return std::nullopt;
                     }
-                    word = placeField(word, *field, value);
+                    // A w-bit field takes a signed or an unsigned
+                    // w-bit value: [-2^(w-1), 2^w).
+                    if (field->width < 63 &&
+                        (value < -(1ll << (field->width - 1)) ||
+                         value >= (1ll << field->width))) {
+                        error = "immediate " + operands[i] +
+                                " does not fit the " +
+                                std::to_string(field->width) +
+                                "-bit field '" + spec.field + "'";
+                        return std::nullopt;
+                    }
+                    word = placeField(word, *field, uint32_t(value));
                 }
                 return word;
             });

@@ -101,20 +101,6 @@ struct CompileOptions
      * compile into a failure, and failures are never cached.
      */
     const CancelToken *cancel = nullptr;
-
-    /**
-     * Retry policy for compileWithRetry() (docs/failure-model.md):
-     * up to retryMaxAttempts attempts with capped exponential backoff
-     * between them -- attempt k sleeps
-     * min(retryBaseDelayMs * 2^(k-1), retryMaxDelayMs) plus a
-     * deterministic jitter derived from the input hash (no RNG: two
-     * runs of the same input back off identically). The default base
-     * of 0 keeps retries immediate, matching the pre-backoff
-     * behavior.
-     */
-    unsigned retryMaxAttempts = 3;
-    double retryBaseDelayMs = 0.0;
-    double retryMaxDelayMs = 100.0;
 };
 
 /**
@@ -266,21 +252,22 @@ CompiledIsax compile(const std::string &source,
                      const std::string &target = "",
                      const CompileOptions &options = {});
 
+/** Attempts compileWithRetry() makes before it gives up on a
+ * transient fault (docs/failure-model.md). */
+constexpr unsigned maxCompileAttempts = 3;
+
 /**
- * Like compile(), but retry when the failure was caused by a transient
+ * Like compile(), but try again at once, up to maxCompileAttempts
+ * attempts in all, while the failure was caused by a transient
  * injected fault (failpoint mode "transient:N"); permanent failures
- * are returned immediately. Attempt count and inter-attempt backoff
- * come from the options (retryMaxAttempts / retryBaseDelayMs /
- * retryMaxDelayMs); a non-zero @p max_attempts overrides
- * options.retryMaxAttempts for callers of the pre-backoff API. The
- * result's `attempts` field records how many tries were made, and the
- * total backoff slept is exported as the `driver.retry_backoff_ms`
- * metric.
+ * and cancelled compiles are returned immediately. The result's
+ * `attempts` field records how many tries were made. Every compile of
+ * the one-shot, batch and serve paths goes through here
+ * (driver::CompileSession).
  */
 CompiledIsax compileWithRetry(const std::string &source,
                               const std::string &target = "",
-                              const CompileOptions &options = {},
-                              unsigned max_attempts = 0);
+                              const CompileOptions &options = {});
 
 /** Compile one of the bundled benchmark ISAXes (Table 3). */
 CompiledIsax compileCatalogIsax(const std::string &isax_name,

@@ -158,6 +158,8 @@ Tracer::instance()
 void
 Tracer::record(TraceEvent event)
 {
+    if (!retaining())
+        return;
     std::lock_guard<std::mutex> lock(mutex_);
     events_.push_back(std::move(event));
 }

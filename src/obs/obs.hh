@@ -147,8 +147,19 @@ class Tracer
   public:
     static Tracer &instance();
 
+    /** Store @p event, unless retention is off. */
     void record(TraceEvent event);
     void clear();
+
+    /**
+     * Whether record() keeps spans (default on). A long-lived process
+     * with obs on but no trace sink turns it off: it would otherwise
+     * grow by every span it ever closed (the compile server does this
+     * when it has no trace path).
+     */
+    void setRetaining(bool on) { retaining_.store(on); }
+    bool retaining() const { return retaining_.load(); }
+
     /** Snapshot of all completed spans so far. */
     std::vector<TraceEvent> events() const;
 
@@ -163,6 +174,7 @@ class Tracer
     Tracer() = default;
     mutable std::mutex mutex_;
     std::vector<TraceEvent> events_;
+    std::atomic<bool> retaining_{true};
 };
 
 /**

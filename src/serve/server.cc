@@ -53,7 +53,8 @@ requestKindName(RequestKind kind)
 } // namespace
 
 Server::Server(ServeOptions options)
-    : options_(std::move(options)), memCache_(options_.memCacheEntries)
+    : options_(std::move(options)), memCache_(options_.memCacheEntries),
+      session_(options_.cacheDir, options_.cacheMaxEntries)
 {
 }
 
@@ -112,6 +113,12 @@ Server::run(ServeStats &stats, std::string &error)
         obs::flightrec::installCrashHandler();
     }
 
+    // Spans are kept only for the trace written at shutdown; without
+    // one, every request would grow the daemon by the spans it closed.
+    obs::Tracer &tracer = obs::Tracer::instance();
+    bool was_retaining = tracer.retaining();
+    tracer.setRetaining(!options_.tracePath.empty());
+
     pool_ = std::make_unique<ThreadPool>(options_.jobs);
     ready_.store(true);
     obs::count("serve.started");
@@ -155,6 +162,7 @@ Server::run(ServeStats &stats, std::string &error)
     }
 
     shutdownPhase(stats);
+    tracer.setRetaining(was_retaining);
     return true;
 }
 
@@ -557,9 +565,12 @@ Server::compileReply(const Request &request, std::string &outcome,
         }
     } token_guard{*this, token};
 
-    // Tiered lookup: memory, disk, fresh compile.
+    // Tiered lookup: memory, disk, fresh compile. The disk tier runs
+    // here on the connection thread, so a hit never waits in the pool
+    // queue behind fresh compiles.
     std::string key =
         driver::cacheKey(request.source, request.target, request.options);
+    driver::BatchUnitOutcome out;
     {
         obs::TraceSpan cache_span("cache.lookup");
         if (auto hit = memCache_.lookup(key)) {
@@ -569,39 +580,24 @@ Server::compileReply(const Request &request, std::string &outcome,
             tier = "mem";
             return emitResultReply(*hit, request.id, "mem", request.rid);
         }
-        if (!options_.cacheDir.empty()) {
-            driver::CompileSummary cached;
-            if (driver::cacheLoad(options_.cacheDir, key, cached) ==
-                driver::CacheLookup::Hit) {
-                diskHits_.fetch_add(1);
-                obs::count("serve.disk_hits");
-                cache_span.arg("tier", "disk");
-                auto shared = std::make_shared<driver::CompileSummary>(
-                    std::move(cached));
-                memCache_.insert(key, shared);
-                outcome = "ok";
-                tier = "disk";
-                return emitResultReply(*shared, request.id, "disk",
-                                       request.rid);
-            }
-            // Corrupt/injected lookups fall through to a fresh compile
-            // (fail-soft, same as batch mode).
+        if (session_.lookup(key, out)) {
+            diskHits_.fetch_add(1);
+            obs::count("serve.disk_hits");
+            cache_span.arg("tier", "disk");
+            auto shared = std::make_shared<driver::CompileSummary>(
+                std::move(out.summary));
+            memCache_.insert(key, shared);
+            outcome = "ok";
+            tier = "disk";
+            return emitResultReply(*shared, request.id, "disk",
+                                   request.rid);
         }
         cache_span.arg("tier", "miss");
     }
 
-    driver::CompileOptions opts = request.options;
-    opts.cancel = &token;
-    auto tech = shared_.techlibFor(opts.timingMode);
-    opts.techlib = tech.get();
-    std::shared_ptr<const scaiev::Datasheet> sheet;
-    if (!opts.datasheet) {
-        sheet = shared_.datasheetFor(opts.coreName);
-        if (sheet)
-            opts.datasheet = sheet.get();
-    }
-
-    auto summary = std::make_shared<driver::CompileSummary>();
+    driver::BatchRequest unit{request.unitName, request.source,
+                              request.target, request.options};
+    unit.options.cancel = &token;
     // The done-handshake state is shared-owned by both the handler and
     // the pool task: the worker's notify_all() may still be executing
     // when the handler wakes and returns, so stack storage would be
@@ -618,7 +614,7 @@ Server::compileReply(const Request &request, std::string &outcome,
     // records and flight-recorder notes from the compile carry this
     // request's rid.
     obs::RequestContext ctx = obs::currentRequest();
-    bool accepted = pool_->submit([&, summary, done, submitted_at, ctx] {
+    bool accepted = pool_->submit([&, done, submitted_at, ctx] {
         obs::RequestScope scope(ctx.rid, ctx.traceId, ctx.parentSpan);
         if (obs::enabled()) {
             // Synthetic span covering the time the request sat in the
@@ -634,9 +630,7 @@ Server::compileReply(const Request &request, std::string &outcome,
             obs::observe("serve.queue_wait_ms", wait.durUs / 1000.0);
             obs::Tracer::instance().record(std::move(wait));
         }
-        auto compiled =
-            driver::compileWithRetry(request.source, request.target, opts);
-        *summary = driver::summarize(compiled);
+        session_.compile(unit, key, out);
         {
             std::lock_guard<std::mutex> lock(done->mutex);
             done->done = true;
@@ -658,14 +652,13 @@ Server::compileReply(const Request &request, std::string &outcome,
     compiles_.fetch_add(1);
     obs::count("serve.compiles");
 
-    if (summary->ok) {
-        if (!options_.cacheDir.empty())
-            driver::cacheStore(options_.cacheDir, key, *summary,
-                               options_.cacheMaxEntries);
-        memCache_.insert(key, summary);
+    if (out.ok) {
+        // The memory tier replays what the disk tier would.
+        memCache_.insert(key, std::make_shared<driver::CompileSummary>(
+                                  driver::CompileSession::replayable(out)));
         outcome = "ok";
         tier = "fresh";
-        return emitResultReply(*summary, request.id, "fresh",
+        return emitResultReply(out.summary, request.id, "fresh",
                                request.rid);
     }
 
@@ -700,7 +693,7 @@ Server::compileReply(const Request &request, std::string &outcome,
     // diagnostics, exactly what the one-shot CLI would report.
     outcome = "compile-error";
     tier = "fresh";
-    return emitResultReply(*summary, request.id, "fresh", request.rid);
+    return emitResultReply(out.summary, request.id, "fresh", request.rid);
 }
 
 } // namespace serve

@@ -160,7 +160,7 @@ class Server
     ServeOptions options_;
     MemCache memCache_;
     std::unique_ptr<ThreadPool> pool_;
-    driver::SharedInputs shared_;
+    driver::CompileSession session_;
     net::Listener listener_;
 
     /** Self-pipe: written once at drain start; never drained, so every

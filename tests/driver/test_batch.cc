@@ -655,7 +655,8 @@ TEST(Cancel, BatchCancelSettlesEveryUnitWithLN3011)
 }
 
 // ---------------------------------------------------------------------------
-// Retry with capped exponential backoff (docs/failure-model.md)
+// Retry: a fixed policy of maxCompileAttempts immediate attempts
+// (docs/failure-model.md)
 // ---------------------------------------------------------------------------
 
 TEST(Retry, TransientFaultsAreRetriedUntilSuccess)
@@ -663,39 +664,43 @@ TEST(Retry, TransientFaultsAreRetriedUntilSuccess)
     const auto *entry = catalog::findIsax("autoinc");
     ASSERT_NE(entry, nullptr);
     failpoint::Scoped fault("sched", failpoint::Mode::Transient, 2);
-    CompileOptions options;
-    options.retryMaxAttempts = 3;
-    options.retryBaseDelayMs = 1.0;
-    options.retryMaxDelayMs = 2.0;
-    CompiledIsax result =
-        compileWithRetry(entry->source, entry->target, options);
+    CompiledIsax result = compileWithRetry(entry->source, entry->target);
     EXPECT_TRUE(result.ok()) << result.errors;
     EXPECT_EQ(result.attempts, 3u);
 }
 
 TEST(Retry, PermanentFailuresAreNotRetried)
 {
-    CompileOptions options;
-    options.retryMaxAttempts = 5;
-    CompiledIsax result =
-        compileWithRetry("InstructionSet Broken {", "", options);
+    CompiledIsax result = compileWithRetry("InstructionSet Broken {", "");
     EXPECT_FALSE(result.ok());
     EXPECT_EQ(result.attempts, 1u);
     EXPECT_FALSE(result.retryable);
 }
 
-TEST(Retry, AttemptsAreCappedAtTheConfiguredMaximum)
+TEST(Retry, AttemptsAreCappedAtTheFixedMaximum)
 {
     const auto *entry = catalog::findIsax("autoinc");
     ASSERT_NE(entry, nullptr);
     // More transient hits than attempts: the last try still fails.
     failpoint::Scoped fault("sched", failpoint::Mode::Transient, 10);
-    CompileOptions options;
-    options.retryMaxAttempts = 2;
-    options.retryBaseDelayMs = 1.0;
-    CompiledIsax result =
-        compileWithRetry(entry->source, entry->target, options);
+    CompiledIsax result = compileWithRetry(entry->source, entry->target);
     EXPECT_FALSE(result.ok());
-    EXPECT_EQ(result.attempts, 2u);
+    EXPECT_EQ(result.attempts, maxCompileAttempts);
     EXPECT_TRUE(result.retryable);
+}
+
+TEST(Retry, BatchUnitsRetryTransientFaults)
+{
+    // Batch compiles go through the shared unit path, so a unit whose
+    // first two scheduling attempts fault transiently still succeeds.
+    failpoint::Scoped fault("sched", failpoint::Mode::Transient, 2);
+    const auto *entry = catalog::findIsax("autoinc");
+    ASSERT_NE(entry, nullptr);
+    BatchResult result = compileBatch(
+        {{"autoinc@VexRiscv", entry->source, entry->target, {}}});
+    ASSERT_EQ(result.units.size(), 1u);
+    const BatchUnitOutcome &unit = result.units.front();
+    EXPECT_TRUE(unit.ok) << unit.summary.errorsText;
+    ASSERT_NE(unit.full, nullptr);
+    EXPECT_EQ(unit.full->attempts, 3u);
 }

@@ -109,6 +109,41 @@ TEST(Driver, MnemonicRegistration)
     EXPECT_FALSE(as.assemble("alzette_x a2, a0").ok);
 }
 
+TEST(Driver, IsaxImmediatesMustFitTheirField)
+{
+    CompiledIsax compiled = compileCatalogIsax("zol");
+    ASSERT_TRUE(compiled.ok()) << compiled.errors;
+    rvasm::Assembler as;
+    registerIsaxMnemonics(as, *compiled.isa);
+    const auto *info = compiled.isa->findInstruction("setup_zol");
+    ASSERT_NE(info, nullptr);
+    // encoding: uimmL[11:0] :: uimmS[4:0] :: 3'b101 :: 5'b00000 :: opcode
+    auto word = [&](uint32_t uimm_l, uint32_t uimm_s) {
+        return info->match | (uimm_l & 0xfffu) << 20 | uimm_s << 15;
+    };
+
+    // Unsigned and negative values that fit 12 bits encode their low
+    // bits: [-2^11, 2^12).
+    for (auto [text, bits] : std::vector<std::pair<std::string, uint32_t>>{
+             {"0", 0}, {"4095", 4095}, {"-1", 4095}, {"-2048", 2048}}) {
+        rvasm::Program p = as.assemble("setup_zol " + text + ", 4");
+        ASSERT_TRUE(p.ok) << text << ": " << p.error;
+        EXPECT_EQ(p.words[0], word(bits, 4)) << text;
+    }
+
+    // Values outside the field are refused, naming the operand, instead
+    // of being truncated (199999 used to encode as 3391).
+    for (const char *text : {"199999", "4096", "-2049"}) {
+        rvasm::Program p =
+            as.assemble(std::string("setup_zol ") + text + ", 4");
+        EXPECT_FALSE(p.ok) << text;
+        EXPECT_NE(p.error.find("uimmL"), std::string::npos) << p.error;
+    }
+    rvasm::Program p = as.assemble("setup_zol 1, 32");
+    EXPECT_FALSE(p.ok);
+    EXPECT_NE(p.error.find("uimmS"), std::string::npos) << p.error;
+}
+
 TEST(Driver, GoldenModelRunsDotp)
 {
     CompileOptions options;

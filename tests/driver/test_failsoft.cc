@@ -174,13 +174,13 @@ TEST_F(FailsoftTest, FallbackScheduleMatchesGoldenModel)
 
 TEST_F(FailsoftTest, TransientFaultMarksResultRetryable)
 {
-    failpoint::Scoped scoped("sema", Mode::Transient, 1);
-    CompiledIsax compiled = compileWithRetry(
-        // compileWithRetry with max_attempts=1 behaves like compile().
-        "InstructionSet E { }", "E", {}, 1);
+    // A transient fault on every attempt: the policy gives up and the
+    // result says the failure was transient.
+    failpoint::Scoped scoped("sema", Mode::Transient, maxCompileAttempts);
+    CompiledIsax compiled = compileWithRetry("InstructionSet E { }", "E");
     EXPECT_FALSE(compiled.ok());
     EXPECT_TRUE(compiled.retryable);
-    EXPECT_EQ(compiled.attempts, 1u);
+    EXPECT_EQ(compiled.attempts, maxCompileAttempts);
 }
 
 TEST_F(FailsoftTest, RetrySucceedsAfterTransientFault)
@@ -193,8 +193,7 @@ TEST_F(FailsoftTest, RetrySucceedsAfterTransientFault)
     failpoint::arm("sema", Mode::Transient, 1);
     const catalog::IsaxEntry *entry = catalog::findIsax("dotp");
     ASSERT_NE(entry, nullptr);
-    CompiledIsax retried =
-        compileWithRetry(entry->source, entry->target, {}, 3);
+    CompiledIsax retried = compileWithRetry(entry->source, entry->target);
     EXPECT_TRUE(retried.ok()) << retried.errors;
     EXPECT_EQ(retried.attempts, 2u);
 }
@@ -204,11 +203,11 @@ TEST_F(FailsoftTest, PermanentFaultIsNotRetried)
     failpoint::Scoped scoped("sema", Mode::Fail);
     const catalog::IsaxEntry *entry = catalog::findIsax("dotp");
     ASSERT_NE(entry, nullptr);
-    CompiledIsax compiled =
-        compileWithRetry(entry->source, entry->target, {}, 3);
+    CompiledIsax compiled = compileWithRetry(entry->source, entry->target);
     EXPECT_FALSE(compiled.ok());
     EXPECT_FALSE(compiled.retryable);
     EXPECT_EQ(compiled.attempts, 1u);
+    EXPECT_EQ(failpoint::hitCount("sema"), 1u);
 }
 
 TEST_F(FailsoftTest, RetryGivesUpOnPersistentTransientFault)
@@ -216,11 +215,12 @@ TEST_F(FailsoftTest, RetryGivesUpOnPersistentTransientFault)
     failpoint::Scoped scoped("sema", Mode::Transient, 100);
     const catalog::IsaxEntry *entry = catalog::findIsax("dotp");
     ASSERT_NE(entry, nullptr);
-    CompiledIsax compiled =
-        compileWithRetry(entry->source, entry->target, {}, 3);
+    CompiledIsax compiled = compileWithRetry(entry->source, entry->target);
     EXPECT_FALSE(compiled.ok());
     EXPECT_TRUE(compiled.retryable);
     EXPECT_EQ(compiled.attempts, 3u);
+    // Exactly three tries, with nothing in between them.
+    EXPECT_EQ(failpoint::hitCount("sema"), 3u);
 }
 
 // ---------------------------------------------------------------------------

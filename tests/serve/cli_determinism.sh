@@ -1,14 +1,44 @@
 #!/bin/sh
-# Serve determinism (docs/compile-server.md): artifacts produced by a
-# `longnail --connect` client against a live daemon must be
-# byte-identical to the one-shot CLI's for the same ISAX x core combo.
+# One compile path (docs/compile-server.md, docs/batch-compilation.md):
+# artifacts produced by a `longnail --connect` client against a live
+# daemon and by a batch of one, cold and then warm from its cache,
+# must be byte-identical to the one-shot CLI's for the same ISAX x
+# core combo.
 # Usage: cli_determinism.sh <longnail-binary> <build-dir>
 set -e
 LN=$1
 cd "$2"
 
-rm -rf serve_det_out solo_det_out serve_det.sock serve_det.log \
-       serve_det.jsonl serve_det_client.jsonl solo_det.jsonl
+rm -rf serve_det_out solo_det_out batch_det_out batch_det_cache \
+       serve_det.sock serve_det.log serve_det.jsonl \
+       serve_det_client.jsonl solo_det.jsonl batch_det.err
+
+# A batch of one (--jobs=1 engages batch mode): compile into
+# batch_det_out/<pass><tag>/<unit>/ with a cold and then a warm cache,
+# and check the warm run replayed the unit instead of compiling it.
+batch_of_one() {
+    tag=$1
+    unit=$2
+    shift 2
+    for pass in cold warm; do
+        "$LN" --jobs=1 --cache-dir batch_det_cache \
+            -o "batch_det_out/$pass$tag" "$@" 2> batch_det.err
+        test -d "batch_det_out/$pass$tag/$unit"
+    done
+    grep -q '1 hit(s)' batch_det.err
+}
+
+# Each batch unit directory must equal the one-shot and client ones.
+diff_batch() {
+    tag=$1
+    unit=$2
+    dir=$3
+    for pass in cold warm; do
+        diff -r "batch_det_out/$pass$tag/$unit" "solo_det_out/$dir"
+        diff -r "batch_det_out/$pass$tag/$unit" "serve_det_out/$dir"
+    done
+}
+
 # The structured event log rides along on both sides: artifacts must
 # stay byte-identical with logging enabled (docs/observability.md).
 "$LN" --serve --socket serve_det.sock --log serve_det.jsonl \
@@ -38,6 +68,7 @@ for f in isax_export/zol.core_desc isax_export/bitmanip.core_desc \
             --core "$core" -o "serve_det_out/$n-$core" "$f" 2>/dev/null
         "$LN" --quiet --log solo_det.jsonl --core "$core" \
             -o "solo_det_out/$n-$core" "$f"
+        batch_of_one "" "$n@$core" --core "$core" "$f"
     done
 done
 
@@ -51,14 +82,25 @@ for core in VexRiscv ORCA; do
         2>/dev/null
     "$LN" --quiet -O1 --core "$core" -o "solo_det_out/zol-$core-O1" \
         isax_export/zol.core_desc
+    # -O1 is its own cache key: this batch compiles, then replays.
+    batch_of_one -O1 "zol@$core" -O1 --core "$core" \
+        isax_export/zol.core_desc
 done
 
 "$LN" --connect serve_det.sock --request shutdown >/dev/null
 wait "$srv" # a shutdown-request drain must exit 0
 
 diff -r serve_det_out solo_det_out
+for f in zol bitmanip autoinc; do
+    for core in VexRiscv ORCA PicoRV32 Piccolo; do
+        diff_batch "" "$f@$core" "$f-$core"
+    done
+done
+for core in VexRiscv ORCA; do
+    diff_batch -O1 "zol@$core" "zol-$core-O1"
+done
 # The logging really was on for every leg of the comparison.
 grep -q '"ev":"serve.request"' serve_det.jsonl
 grep -q '"ev":"client.request"' serve_det_client.jsonl
 grep -q '"ev":' solo_det.jsonl
-echo "serve determinism: daemon artifacts byte-identical to one-shot CLI"
+echo "determinism: daemon and batch artifacts equal the one-shot CLI's"

@@ -210,6 +210,89 @@ TEST(Serve, DiskCacheTierServesAcrossServerRestarts)
     }
 }
 
+TEST(Serve, CorruptDiskEntryIsReportedAndRecompiled)
+{
+    std::string cache_dir = ::testing::TempDir() + "/ln_serve_corrupt";
+    fs::remove_all(cache_dir);
+    fs::create_directories(cache_dir);
+
+    std::optional<serve::Reply> clean;
+    {
+        TestServer ts("corrupt1");
+        ts.options.cacheDir = cache_dir;
+        ts.start();
+        net::Connection conn = connectTo(ts);
+        clean = roundTrip(conn, compileRequest("autoinc"));
+        ASSERT_TRUE(clean);
+        ASSERT_EQ(clean->cacheTier, "fresh");
+    }
+    for (const auto &file : fs::directory_iterator(cache_dir)) {
+        std::ofstream out(file.path(), std::ios::trunc);
+        out << "LNCACHE 1\nthis is not a cache entry\n";
+    }
+
+    TestServer ts("corrupt2");
+    ts.options.cacheDir = cache_dir;
+    ts.start();
+    net::Connection conn = connectTo(ts);
+    // The disk tier finds the garbled entry: the request recompiles
+    // behind the same LN3010 advisory a batch unit gets.
+    auto recompiled = roundTrip(conn, compileRequest("autoinc"));
+    ASSERT_TRUE(recompiled);
+    ASSERT_EQ(recompiled->type, "result");
+    EXPECT_EQ(recompiled->cacheTier, "fresh");
+    EXPECT_TRUE(recompiled->summary.ok);
+    ASSERT_FALSE(recompiled->summary.diags.empty());
+    EXPECT_EQ(recompiled->summary.diags.front().code, "LN3010");
+    ASSERT_EQ(recompiled->summary.units.size(),
+              clean->summary.units.size());
+    for (size_t i = 0; i < clean->summary.units.size(); ++i)
+        EXPECT_EQ(recompiled->summary.units[i].systemVerilog,
+                  clean->summary.units[i].systemVerilog);
+    EXPECT_EQ(recompiled->summary.configYaml, clean->summary.configYaml);
+
+    // The advisory belonged to that lookup only: the memory tier
+    // replays the clean summary.
+    auto replay = roundTrip(conn, compileRequest("autoinc"));
+    ASSERT_TRUE(replay);
+    EXPECT_EQ(replay->cacheTier, "mem");
+    for (const auto &diag : replay->summary.diags)
+        EXPECT_NE(diag.code, "LN3010");
+    EXPECT_EQ(replay->summary.configYaml, clean->summary.configYaml);
+}
+
+TEST(Serve, NoTracePathKeepsNoSpans)
+{
+    obs::Tracer::instance().clear();
+    TestServer ts("nospans");
+    ts.start();
+    net::Connection conn = connectTo(ts);
+    ASSERT_TRUE(roundTrip(conn, compileRequest("autoinc")));
+    size_t spans = obs::Tracer::instance().events().size();
+
+    // Memory-tier compile hits and pings: a few hundred requests, each
+    // of which would otherwise leave its spans behind.
+    constexpr int kRequests = 300;
+    for (int i = 0; i < kRequests; ++i) {
+        auto reply = roundTrip(
+            conn, i % 2 ? compileRequest("autoinc")
+                        : simpleRequest(serve::RequestKind::Ping));
+        ASSERT_TRUE(reply);
+    }
+    EXPECT_EQ(obs::Tracer::instance().events().size(), spans);
+
+    // Metrics stay on: the stats reply still counts every request.
+    auto stats =
+        roundTrip(conn, simpleRequest(serve::RequestKind::Stats));
+    ASSERT_TRUE(stats);
+    const json::Value *server = stats->raw.find("server");
+    ASSERT_NE(server, nullptr);
+    EXPECT_GE(server->getNumber("requests", 0.0), kRequests + 2.0);
+    ts.stop();
+    // Retention comes back for the rest of the process.
+    EXPECT_TRUE(obs::Tracer::instance().retaining());
+}
+
 TEST(Serve, CompileFailureIsStructuredAndServerSurvives)
 {
     TestServer ts("fail");

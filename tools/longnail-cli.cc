@@ -216,14 +216,16 @@ usage()
 }
 
 /**
- * Exit code of a failed batch unit, mirroring the single-compile
- * mapping: LN4xxx errors -> lint, else LN2xxx -> schedule, else
- * frontend. The batch exit code comes from the first failing unit in
- * sorted order, so it is the same for any --jobs value.
+ * Exit code of one compile, for one-shot, --connect and batch alike:
+ * LN4xxx errors -> lint, else LN2xxx -> schedule, else frontend. A
+ * batch exits with the code of its first failing unit in sorted
+ * order, so it is the same for any --jobs value.
  */
 int
-batchExitCode(const driver::CompileSummary &summary)
+exitCodeOf(const driver::CompileSummary &summary)
 {
+    if (summary.ok)
+        return exitOk;
     bool schedule = false;
     for (const auto &diag : summary.diags) {
         if (diag.severity != Severity::Error)
@@ -234,6 +236,78 @@ batchExitCode(const driver::CompileSummary &summary)
             schedule = true;
     }
     return schedule ? exitSchedule : exitFrontend;
+}
+
+/**
+ * Render one compile -- one-shot, batch unit or --connect reply --
+ * from its summary: every diagnostic of a failed compile and the
+ * warnings of a successful one (fallback schedules, lint findings,
+ * cache events) on stderr, then the artifacts on stdout or as files in
+ * @p dir. A batch unit passes its @p label: its diagnostics carry a
+ * "[label] " prefix, its stdout block a "// ===== label =====" header,
+ * and --lint prints no per-unit line.
+ */
+void
+render(const driver::CompileSummary &summary, const std::string &label,
+       bool lint_only, bool to_stdout, const std::string &dir)
+{
+    std::string prefix = label.empty() ? "" : "[" + label + "] ";
+    size_t warnings = 0;
+    for (const auto &diag : summary.diags) {
+        if (summary.ok && diag.severity != Severity::Warning)
+            continue;
+        warnings += diag.severity == Severity::Warning;
+        std::fprintf(stderr, "%s%s\n", prefix.c_str(),
+                     diag.rendered.c_str());
+    }
+    if (!summary.ok)
+        return;
+    if (lint_only) {
+        if (label.empty())
+            std::printf("%s: lint ok (%zu warning%s)\n",
+                        summary.isaxName.c_str(), warnings,
+                        warnings == 1 ? "" : "s");
+        return;
+    }
+    if (to_stdout) {
+        if (!label.empty())
+            std::printf("// ===== %s =====\n", label.c_str());
+        for (const auto &unit : summary.units)
+            std::printf("%s\n", unit.systemVerilog.c_str());
+        std::printf("%s%s", label.empty() ? "\n" : "",
+                    summary.configYaml.c_str());
+        return;
+    }
+    for (const auto &unit : summary.units)
+        writeFile(dir + "/" + unit.name + ".sv", unit.systemVerilog);
+    writeFile(dir + "/" + summary.isaxName + ".scaiev.yaml",
+              summary.configYaml);
+}
+
+/** The deterministic --report header: @p title, then the scheduler
+ * outcome. */
+void
+printReportHeader(const std::string &title,
+                  const driver::CompileSummary &summary)
+{
+    std::printf("\n%s\n", title.c_str());
+    std::printf("  scheduler: %s, %llu LP work units consumed, "
+                "%u fallback event%s\n",
+                summary.chosenScheduler.c_str(),
+                static_cast<unsigned long long>(summary.lpWorkUnits),
+                summary.fallbackEvents,
+                summary.fallbackEvents == 1 ? "" : "s");
+}
+
+/** The deterministic --report line of one scheduled unit. */
+void
+printReportUnit(const driver::CompileSummary::UnitSummary &unit)
+{
+    std::printf("  %-16s %s, stages %d..%d, %u pipeline registers, "
+                "objective %.0f, %s schedule\n",
+                unit.name.c_str(), unit.isAlways ? "always" : "instruction",
+                unit.firstStage, unit.lastStage, unit.numRegisters,
+                unit.objective, unit.quality.c_str());
 }
 
 /**
@@ -299,34 +373,17 @@ runBatch(const std::vector<std::string> &inputs,
     driver::BatchResult result =
         driver::compileBatch(std::move(requests), batch_options);
 
-    // Sorted, post-join emission. Failed units print every diagnostic
-    // (the batch equivalent of the single-compile error block);
-    // successful ones print their warnings, as the single path does.
+    // Sorted, post-join emission: the same renderer as one-shot, per
+    // unit, into <out-dir>/<unit>/.
     for (const auto &unit : result.units) {
-        const driver::CompileSummary &summary = unit.summary;
-        for (const auto &diag : summary.diags)
-            if (!unit.ok || diag.severity == Severity::Warning)
-                std::fprintf(stderr, "[%s] %s\n", unit.unitName.c_str(),
-                             diag.rendered.c_str());
-
-        if (!unit.ok || base.lintOnly)
-            continue;
-        if (to_stdout) {
-            std::printf("// ===== %s =====\n", unit.unitName.c_str());
-            for (const auto &u : summary.units)
-                std::printf("%s\n", u.systemVerilog.c_str());
-            std::printf("%s", summary.configYaml.c_str());
-        } else {
-            std::string dir = out_dir + "/" + unit.unitName;
+        std::string dir = out_dir + "/" + unit.unitName;
+        if (unit.ok && !base.lintOnly && !to_stdout) {
             std::error_code ec;
             std::filesystem::create_directories(dir, ec);
             if (ec)
                 throw CliError{exitIo, "cannot create '" + dir + "'"};
-            for (const auto &u : summary.units)
-                writeFile(dir + "/" + u.name + ".sv", u.systemVerilog);
-            writeFile(dir + "/" + summary.isaxName + ".scaiev.yaml",
-                      summary.configYaml);
         }
+        render(unit.summary, unit.unitName, base.lintOnly, to_stdout, dir);
     }
 
     for (const auto &unit : result.units)
@@ -341,22 +398,9 @@ runBatch(const std::vector<std::string> &inputs,
         for (const auto &unit : result.units) {
             if (!unit.ok)
                 continue;
-            const driver::CompileSummary &summary = unit.summary;
-            std::printf("\n%s\n", unit.unitName.c_str());
-            std::printf("  scheduler: %s, %llu LP work units consumed, "
-                        "%u fallback event%s\n",
-                        summary.chosenScheduler.c_str(),
-                        static_cast<unsigned long long>(
-                            summary.lpWorkUnits),
-                        summary.fallbackEvents,
-                        summary.fallbackEvents == 1 ? "" : "s");
-            for (const auto &u : summary.units)
-                std::printf("  %-16s %s, stages %d..%d, %u pipeline "
-                            "registers, objective %.0f, %s schedule\n",
-                            u.name.c_str(),
-                            u.isAlways ? "always" : "instruction",
-                            u.firstStage, u.lastStage, u.numRegisters,
-                            u.objective, u.quality.c_str());
+            printReportHeader(unit.unitName, unit.summary);
+            for (const auto &u : unit.summary.units)
+                printReportUnit(u);
         }
     }
 
@@ -368,7 +412,7 @@ runBatch(const std::vector<std::string> &inputs,
 
     for (const auto &unit : result.units)
         if (!unit.ok)
-            return batchExitCode(unit.summary);
+            return exitCodeOf(unit.summary);
     return exitOk;
 }
 
@@ -433,6 +477,28 @@ runServe(const std::string &socket_path, unsigned jobs,
     return exitOk;
 }
 
+/** Send @p request to the daemon at @p socket_path and return the
+ * reply payload. Transport failures exit 7. */
+std::string
+roundTrip(const std::string &socket_path, const serve::Request &request)
+{
+    std::string error;
+    net::Connection conn = net::connectUnix(socket_path, error);
+    if (!conn.valid())
+        throw CliError{exitServer,
+                       "cannot connect to '" + socket_path + "': " + error};
+    if (conn.sendFrame(serve::emitRequest(request)) != net::IoStatus::Ok)
+        throw CliError{exitServer,
+                       "cannot send request to '" + socket_path + "'"};
+    std::string payload;
+    net::IoStatus st = conn.recvFrame(payload, -1, serve::maxReplyFrame);
+    if (st != net::IoStatus::Ok)
+        throw CliError{exitServer,
+                       std::string("server connection failed (") +
+                           net::ioStatusName(st) + ")"};
+    return payload;
+}
+
 /**
  * `--connect`: send one request to a running daemon and render the
  * reply. A compile result is rendered exactly like a local one-shot
@@ -491,7 +557,6 @@ runClient(const std::string &connect_path,
     obs::logEvent(obs::LogLevel::Info, "client.request",
                   {{"kind", request_type}, {"socket", connect_path}});
 
-    std::string error;
     std::string payload;
     {
         // The client-side span covers connect, send and the wait for
@@ -500,23 +565,11 @@ runClient(const std::string &connect_path,
         span.arg("kind", request_type);
         span.arg("trace", request.traceId);
         span.arg("span", request.spanId);
-        net::Connection conn = net::connectUnix(connect_path, error);
-        if (!conn.valid())
-            throw CliError{exitServer, "cannot connect to '" +
-                                           connect_path + "': " + error};
-        if (conn.sendFrame(serve::emitRequest(request)) !=
-            net::IoStatus::Ok)
-            throw CliError{exitServer, "cannot send request to '" +
-                                           connect_path + "'"};
-        net::IoStatus st =
-            conn.recvFrame(payload, -1, serve::maxReplyFrame);
-        if (st != net::IoStatus::Ok)
-            throw CliError{exitServer,
-                           std::string("server connection failed (") +
-                               net::ioStatusName(st) + ")"};
+        payload = roundTrip(connect_path, request);
     }
     if (!trace_path.empty())
         writeFile(trace_path, obs::Tracer::instance().toChromeJson());
+    std::string error;
     auto reply = serve::parseReply(payload, error);
     if (!reply)
         throw CliError{exitServer, "bad server reply: " + error};
@@ -545,38 +598,8 @@ runClient(const std::string &connect_path,
     }
 
     // From here on, byte-for-byte the local one-shot rendering.
-    const driver::CompileSummary &summary = reply->summary;
-    if (!summary.ok) {
-        std::fprintf(stderr, "%s", summary.errorsText.c_str());
-        return batchExitCode(summary);
-    }
-    size_t warnings = 0;
-    for (const auto &diag : summary.diags)
-        if (diag.severity == Severity::Warning) {
-            ++warnings;
-            std::fprintf(stderr, "%s\n", diag.rendered.c_str());
-        }
-    if (options.lintOnly) {
-        std::printf("%s: lint ok (%zu warning%s)\n",
-                    summary.isaxName.c_str(), warnings,
-                    warnings == 1 ? "" : "s");
-        return exitOk;
-    }
-    if (to_stdout) {
-        std::string all;
-        for (const auto &unit : summary.units) {
-            all += unit.systemVerilog;
-            all += "\n";
-        }
-        std::printf("%s\n%s", all.c_str(), summary.configYaml.c_str());
-    } else {
-        for (const auto &unit : summary.units)
-            writeFile(out_dir + "/" + unit.name + ".sv",
-                      unit.systemVerilog);
-        writeFile(out_dir + "/" + summary.isaxName + ".scaiev.yaml",
-                  summary.configYaml);
-    }
-    return exitOk;
+    render(reply->summary, "", options.lintOnly, to_stdout, out_dir);
+    return exitCodeOf(reply->summary);
 }
 
 /**
@@ -601,22 +624,8 @@ runTop(const std::string &socket_path, long interval_ms)
         serve::Request request;
         request.kind = serve::RequestKind::Stats;
         std::string error;
-        net::Connection conn = net::connectUnix(socket_path, error);
-        if (!conn.valid())
-            throw CliError{exitServer, "cannot connect to '" +
-                                           socket_path + "': " + error};
-        if (conn.sendFrame(serve::emitRequest(request)) !=
-            net::IoStatus::Ok)
-            throw CliError{exitServer, "cannot send request to '" +
-                                           socket_path + "'"};
-        std::string payload;
-        net::IoStatus st =
-            conn.recvFrame(payload, -1, serve::maxReplyFrame);
-        if (st != net::IoStatus::Ok)
-            throw CliError{exitServer,
-                           std::string("server connection failed (") +
-                               net::ioStatusName(st) + ")"};
-        auto reply = serve::parseReply(payload, error);
+        auto reply =
+            serve::parseReply(roundTrip(socket_path, request), error);
         if (!reply || reply->type != "stats")
             throw CliError{exitServer, "bad stats reply: " + error};
 
@@ -984,24 +993,25 @@ run(int argc, char **argv)
         obs::Registry::instance().clear();
     }
 
+    // Written even when the compile fails: that is when you need the
+    // trace and counters most.
+    auto writeObservability = [&] {
+        if (!trace_path.empty())
+            writeFile(trace_path, obs::Tracer::instance().toChromeJson());
+        if (stats_path == "-")
+            std::printf("%s", obs::Registry::instance().toTable().c_str());
+        else if (!stats_path.empty())
+            writeFile(stats_path, obs::Registry::instance().toYaml());
+        if (!metrics_path.empty())
+            writeFile(metrics_path,
+                      obs::Registry::instance().toPrometheus());
+    };
+
     if (batch_mode) {
         int code = runBatch(inputs, target, options, cores_arg,
                             cache_dir, size_t(cache_limit),
                             unsigned(jobs), out_dir, to_stdout, report);
-        if (!trace_path.empty())
-            writeFile(trace_path,
-                      obs::Tracer::instance().toChromeJson());
-        if (!stats_path.empty()) {
-            if (stats_path == "-")
-                std::printf(
-                    "%s", obs::Registry::instance().toTable().c_str());
-            else
-                writeFile(stats_path,
-                          obs::Registry::instance().toYaml());
-        }
-        if (!metrics_path.empty())
-            writeFile(metrics_path,
-                      obs::Registry::instance().toPrometheus());
+        writeObservability();
         if (signals::terminationRequested()) {
             // Interrupted runs must leave the cache directory exactly
             // as a completed one would: sweep temp files an aborted
@@ -1022,166 +1032,97 @@ run(int argc, char **argv)
     }
 
     // One-shot compiles are request "r1": trivially deterministic, and
-    // it makes local logs grep the same way serve logs do.
+    // it makes local logs grep the same way serve logs do. They take
+    // the batch/serve unit path with no cache.
     obs::RequestScope rid_scope("r1");
     obs::logEvent(obs::LogLevel::Info, "compile.start",
                   {{"input", input}});
-    driver::CompiledIsax compiled =
-        driver::compile(readFile(input), target, options);
+    driver::CompileSession session;
+    driver::BatchUnitOutcome out;
+    session.compile({input, readFile(input), target, options}, "", out);
+    const driver::CompileSummary &summary = out.summary;
     obs::logEvent(obs::LogLevel::Info, "compile.done",
-                  {{"outcome", compiled.ok() ? "ok" : "compile-error"}});
+                  {{"outcome", out.ok ? "ok" : "compile-error"}});
 
-    // Dump trace/stats before exiting: observability must also cover
-    // failed compiles (that is when you need it most).
-    if (!trace_path.empty())
-        writeFile(trace_path, obs::Tracer::instance().toChromeJson());
-    if (!stats_path.empty()) {
-        if (stats_path == "-")
-            std::printf("%s",
-                        obs::Registry::instance().toTable().c_str());
-        else
-            writeFile(stats_path,
-                      obs::Registry::instance().toYaml());
-    }
-    if (!metrics_path.empty())
-        writeFile(metrics_path,
-                  obs::Registry::instance().toPrometheus());
-
+    writeObservability();
     if (signals::terminationRequested()) {
         std::fprintf(stderr, "interrupted by signal %d\n",
                      signals::lastSignal());
         return exitInterrupted;
     }
 
-    if (!compiled.ok()) {
-        std::fprintf(stderr, "%s", compiled.errors.c_str());
-        if (compiled.diags.hasErrorCodePrefix("LN4"))
-            return exitLint;
-        return compiled.diags.hasErrorCodePrefix("LN2")
-                   ? exitSchedule
-                   : exitFrontend;
-    }
-    // Surface fallback-schedule warnings (LN2001), lint findings
-    // (LN4xxx) and other advisories.
-    size_t warnings = 0;
-    for (const auto &diag : compiled.diags.all())
-        if (diag.severity == Severity::Warning) {
-            ++warnings;
-            std::fprintf(stderr, "%s\n", diag.str().c_str());
-        }
+    render(summary, "", options.lintOnly, to_stdout, out_dir);
+    if (!out.ok || options.lintOnly || !report)
+        return exitCodeOf(summary);
 
-    if (options.lintOnly) {
-        std::printf("%s: lint ok (%zu warning%s)\n",
-                    compiled.name.c_str(), warnings,
-                    warnings == 1 ? "" : "s");
-        return exitOk;
+    // --report: the deterministic lines every mode prints, plus those
+    // that need the full compile result.
+    const driver::CompiledIsax &compiled = *out.full;
+    const driver::PhaseReport &r = compiled.report;
+    printReportHeader(summary.isaxName + " on " + summary.coreName,
+                      summary);
+    if (options.optLevel >= 1) {
+        std::printf("  optimizer: %llu rewrite%s, %u proved, "
+                    "%u cosim-agreed, %u spawn graph%s optimized, "
+                    "%u skipped\n",
+                    static_cast<unsigned long long>(r.passRewrites),
+                    r.passRewrites == 1 ? "" : "s", r.passProved,
+                    r.passCosimAgreed, r.spawnGraphsOptimized,
+                    r.spawnGraphsOptimized == 1 ? "" : "s",
+                    r.spawnGraphsSkipped);
+        for (const auto &[unit, rewrites] : r.spawnRewritesByUnit)
+            std::printf("    spawn %-16s %llu rewrite%s "
+                        "(isolation proved)\n",
+                        unit.c_str(),
+                        static_cast<unsigned long long>(rewrites),
+                        rewrites == 1 ? "" : "s");
     }
-
-    if (to_stdout) {
-        std::printf("%s\n%s", compiled.emitAllVerilog().c_str(),
-                    compiled.config.emit().c_str());
-    } else {
-        for (const auto &unit : compiled.units)
-            writeFile(out_dir + "/" + unit.name + ".sv",
-                      unit.systemVerilog);
-        writeFile(out_dir + "/" + compiled.name + ".scaiev.yaml",
-                  compiled.config.emit());
+    if (options.validate)
+        std::printf("  validation: %u unit%s checked, %u proved, "
+                    "%u refuted, %llu cex cycles\n",
+                    r.tvUnitsChecked, r.tvUnitsChecked == 1 ? "" : "s",
+                    r.tvProved, r.tvRefuted,
+                    static_cast<unsigned long long>(r.tvCexCycles));
+    if (r.simCycles > 0 || r.simCompiles > 0)
+        std::printf("  simulation: %s engine, %llu program%s "
+                    "compiled (%llu ops, %.2f ms), %llu cycles "
+                    "simulated\n",
+                    r.simEngine.c_str(),
+                    static_cast<unsigned long long>(r.simCompiles),
+                    r.simCompiles == 1 ? "" : "s",
+                    static_cast<unsigned long long>(r.simProgramOps),
+                    r.simCompileMs,
+                    static_cast<unsigned long long>(r.simCycles));
+    std::printf("  phases (%.2f ms):", r.totalWallMs());
+    for (const auto &entry : r.phases)
+        std::printf(" %s=%.2fms", entry.name.c_str(), entry.wallMs);
+    std::printf("\n");
+    std::vector<const hwgen::GeneratedModule *> modules;
+    for (size_t i = 0; i < compiled.units.size(); ++i) {
+        const driver::CompiledUnit &unit = compiled.units[i];
+        modules.push_back(&unit.module);
+        printReportUnit(summary.units[i]);
+        for (const auto &port : unit.module.ports)
+            std::printf("    %-16s stage %2d  %s\n",
+                        scaiev::ScheduledUse{port.iface, port.reg,
+                                             port.stage,
+                                             !port.validPort.empty(),
+                                             port.mode}
+                            .displayName()
+                            .c_str(),
+                        port.stage, scaiev::executionModeName(port.mode));
     }
-
-    if (report) {
-        std::printf("\n%s on %s\n", compiled.name.c_str(),
-                    compiled.coreName.c_str());
-        std::printf("  scheduler: %s, %llu LP work units consumed, "
-                    "%u fallback event%s\n",
-                    compiled.report.chosenScheduler.c_str(),
-                    static_cast<unsigned long long>(
-                        compiled.report.lpWorkUnits),
-                    compiled.report.fallbackEvents,
-                    compiled.report.fallbackEvents == 1 ? "" : "s");
-        if (options.optLevel >= 1) {
-            std::printf("  optimizer: %llu rewrite%s, %u proved, "
-                        "%u cosim-agreed, %u spawn graph%s optimized, "
-                        "%u skipped\n",
-                        static_cast<unsigned long long>(
-                            compiled.report.passRewrites),
-                        compiled.report.passRewrites == 1 ? "" : "s",
-                        compiled.report.passProved,
-                        compiled.report.passCosimAgreed,
-                        compiled.report.spawnGraphsOptimized,
-                        compiled.report.spawnGraphsOptimized == 1
-                            ? ""
-                            : "s",
-                        compiled.report.spawnGraphsSkipped);
-            for (const auto &[unit, rewrites] :
-                 compiled.report.spawnRewritesByUnit)
-                std::printf("    spawn %-16s %llu rewrite%s "
-                            "(isolation proved)\n",
-                            unit.c_str(),
-                            static_cast<unsigned long long>(rewrites),
-                            rewrites == 1 ? "" : "s");
-        }
-        if (options.validate)
-            std::printf("  validation: %u unit%s checked, %u proved, "
-                        "%u refuted, %llu cex cycles\n",
-                        compiled.report.tvUnitsChecked,
-                        compiled.report.tvUnitsChecked == 1 ? "" : "s",
-                        compiled.report.tvProved,
-                        compiled.report.tvRefuted,
-                        static_cast<unsigned long long>(
-                            compiled.report.tvCexCycles));
-        if (compiled.report.simCycles > 0 ||
-            compiled.report.simCompiles > 0)
-            std::printf("  simulation: %s engine, %llu program%s "
-                        "compiled (%llu ops, %.2f ms), %llu cycles "
-                        "simulated\n",
-                        compiled.report.simEngine.c_str(),
-                        static_cast<unsigned long long>(
-                            compiled.report.simCompiles),
-                        compiled.report.simCompiles == 1 ? "" : "s",
-                        static_cast<unsigned long long>(
-                            compiled.report.simProgramOps),
-                        compiled.report.simCompileMs,
-                        static_cast<unsigned long long>(
-                            compiled.report.simCycles));
-        std::printf("  phases (%.2f ms):", compiled.report.totalWallMs());
-        for (const auto &entry : compiled.report.phases)
-            std::printf(" %s=%.2fms", entry.name.c_str(),
-                        entry.wallMs);
-        std::printf("\n");
-        std::vector<const hwgen::GeneratedModule *> modules;
-        for (const auto &unit : compiled.units) {
-            modules.push_back(&unit.module);
-            std::printf("  %-16s %s, stages %d..%d, %u pipeline "
-                        "registers, objective %.0f, %s schedule\n",
-                        unit.name.c_str(),
-                        unit.isAlways ? "always" : "instruction",
-                        unit.module.firstStage, unit.module.lastStage,
-                        unit.module.module.numRegisters(),
-                        unit.objective,
-                        sched::scheduleQualityName(unit.quality));
-            for (const auto &port : unit.module.ports)
-                std::printf("    %-16s stage %2d  %s\n",
-                            scaiev::ScheduledUse{
-                                port.iface, port.reg, port.stage,
-                                !port.validPort.empty(), port.mode}
-                                .displayName()
-                                .c_str(),
-                            port.stage,
-                            scaiev::executionModeName(port.mode));
-        }
-        const scaiev::Datasheet &sheet =
-            options.datasheet ? *options.datasheet
-                              : scaiev::Datasheet::forCore(
-                                    options.coreName);
-        asic::AsicFlow flow(sheet);
-        asic::SynthesisResult base = flow.synthesizeBase();
-        asic::SynthesisResult ext =
-            flow.synthesizeExtended(compiled.name, modules);
-        std::printf("  ASIC: area %.0f um2 (%+.1f%%), fmax %.0f MHz "
-                    "(%+.1f%%)\n",
-                    ext.areaUm2, ext.areaOverheadPercent(base),
-                    ext.fmaxMhz, ext.freqDeltaPercent(base));
-    }
+    const scaiev::Datasheet &sheet =
+        options.datasheet ? *options.datasheet
+                          : scaiev::Datasheet::forCore(options.coreName);
+    asic::AsicFlow flow(sheet);
+    asic::SynthesisResult base = flow.synthesizeBase();
+    asic::SynthesisResult ext =
+        flow.synthesizeExtended(compiled.name, modules);
+    std::printf("  ASIC: area %.0f um2 (%+.1f%%), fmax %.0f MHz "
+                "(%+.1f%%)\n",
+                ext.areaUm2, ext.areaOverheadPercent(base), ext.fmaxMhz,
+                ext.freqDeltaPercent(base));
     return exitOk;
 }
 
