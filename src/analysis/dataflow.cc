@@ -588,12 +588,10 @@ DemandedBitsLattice::transferBackward(
         DemandedBits amount = DemandedBits::all(widthOf(1));
         if (const ApInt *c = constantOf(op.operand(1))) {
             // Amounts clamp to the width; an overshift discards all.
-            uint64_t amt = c->activeBits() > 32
-                               ? w0
-                               : c->zextOrTrunc(64).toUint64();
+            unsigned amt = ir::clampShiftAmount(*c, w0);
             if (amt >= w0)
                 return {DemandedBits::none(w0), amount};
-            return {DemandedBits{R.lshr(unsigned(amt))}, amount};
+            return {DemandedBits{R.lshr(amt)}, amount};
         }
         // Unknown amount only moves bits up, so source bits at or
         // above the highest demanded result bit stay dead.
@@ -605,12 +603,10 @@ DemandedBitsLattice::transferBackward(
         unsigned w0 = widthOf(0);
         DemandedBits amount = DemandedBits::all(widthOf(1));
         if (const ApInt *c = constantOf(op.operand(1))) {
-            uint64_t amt = c->activeBits() > 32
-                               ? w0
-                               : c->zextOrTrunc(64).toUint64();
+            unsigned amt = ir::clampShiftAmount(*c, w0);
             if (amt >= w0)
                 return {DemandedBits::none(w0), amount};
-            return {DemandedBits{R.shl(unsigned(amt))}, amount};
+            return {DemandedBits{R.shl(amt)}, amount};
         }
         return {DemandedBits::all(w0), amount};
       }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/eval.hh"
 #include "support/logging.hh"
 
 namespace longnail {
@@ -15,25 +14,8 @@ termKindName(TermKind kind)
     switch (kind) {
       case TermKind::Var: return "var";
       case TermKind::Const: return "const";
-      case TermKind::Add: return "add";
-      case TermKind::Sub: return "sub";
-      case TermKind::Mul: return "mul";
-      case TermKind::DivU: return "divu";
-      case TermKind::DivS: return "divs";
-      case TermKind::ModU: return "modu";
-      case TermKind::ModS: return "mods";
-      case TermKind::And: return "and";
-      case TermKind::Or: return "or";
-      case TermKind::Xor: return "xor";
-      case TermKind::Shl: return "shl";
-      case TermKind::ShrU: return "shru";
-      case TermKind::ShrS: return "shrs";
-      case TermKind::ICmp: return "icmp";
-      case TermKind::Mux: return "mux";
-      case TermKind::Extract: return "extract";
-      case TermKind::Concat: return "concat";
-      case TermKind::Replicate: return "replicate";
-      case TermKind::Rom: return "rom";
+#define LN_COMB_OP(name, lil, term, arity) case TermKind::name: return term;
+#include "ir/combops.def"
     }
     return "?";
 }
@@ -53,19 +35,6 @@ isCommutative(TermKind kind)
       default:
         return false;
     }
-}
-
-/**
- * The shift-amount clamping shared by rtl/sim.cc and ir/eval.cc: an
- * amount with more than 32 active bits saturates to the value width,
- * and the effective amount never exceeds the value width.
- */
-unsigned
-clampShiftAmount(const ApInt &amount, unsigned value_width)
-{
-    uint64_t raw = amount.activeBits() > 32 ? value_width
-                                            : amount.toUint64();
-    return unsigned(std::min<uint64_t>(raw, value_width));
 }
 
 /** Mask with the low @p k bits of a @p width-bit value set. */
@@ -285,20 +254,34 @@ TermBuilder::extractImpl(TermId value, unsigned lo, unsigned count)
 TermId
 TermBuilder::rom(std::vector<ApInt> values, unsigned width, TermId index)
 {
-    const Term &idx = terms_.at(index);
-    if (idx.kind == TermKind::Const) {
-        uint64_t i = idx.cval.activeBits() > 63 ? values.size()
-                                                : idx.cval.toUint64();
-        if (i >= values.size())
-            return constant(ApInt(width, 0));
-        return constant(values[i].zextOrTrunc(width));
-    }
+    if (isConst(index))
+        return constant(ir::evalComb(
+            ir::CombOp::Rom, width, {1, ir::ICmpPred::Eq, 0, values},
+            [&](unsigned) -> const ApInt & { return constOf(index); }));
     Term t;
     t.kind = TermKind::Rom;
     t.width = width;
     t.operands = {index};
     t.romValues = std::move(values);
     return intern(std::move(t));
+}
+
+TermId
+TermBuilder::comb(ir::CombOp op, unsigned width,
+                  std::vector<TermId> operands,
+                  const ir::CombAttrs &attrs)
+{
+    switch (op) {
+      case ir::CombOp::ICmp:
+        return icmp(attrs.pred, operands.at(0), operands.at(1));
+      case ir::CombOp::Extract:
+        return extract(operands.at(0), attrs.lo, width);
+      case ir::CombOp::Rom:
+        return rom({attrs.rom.begin(), attrs.rom.end()}, width,
+                   operands.at(0));
+      default:
+        return make(termKindOf(op), width, std::move(operands));
+    }
 }
 
 TermId
@@ -321,54 +304,13 @@ TermBuilder::make(TermKind kind, unsigned width,
     for (TermId op : operands)
         all_const &= isConst(op);
 
-    // Constant folding, mirroring rtl/sim.cc evaluation exactly.
-    if (all_const && !operands.empty()) {
-        auto c = [&](unsigned i) -> const ApInt & {
-            return constOf(operands[i]);
-        };
-        switch (kind) {
-          case TermKind::Add: return constant(c(0) + c(1));
-          case TermKind::Sub: return constant(c(0) - c(1));
-          case TermKind::Mul: return constant(c(0) * c(1));
-          case TermKind::DivU:
-            return constant(c(1).isZero() ? ApInt(width, 0)
-                                          : c(0).udiv(c(1)));
-          case TermKind::DivS:
-            return constant(c(1).isZero() ? ApInt(width, 0)
-                                          : c(0).sdiv(c(1)));
-          case TermKind::ModU:
-            return constant(c(1).isZero() ? ApInt(width, 0)
-                                          : c(0).urem(c(1)));
-          case TermKind::ModS:
-            return constant(c(1).isZero() ? ApInt(width, 0)
-                                          : c(0).srem(c(1)));
-          case TermKind::And: return constant(c(0) & c(1));
-          case TermKind::Or: return constant(c(0) | c(1));
-          case TermKind::Xor: return constant(c(0) ^ c(1));
-          case TermKind::Shl:
-            return constant(
-                c(0).shl(clampShiftAmount(c(1), c(0).width())));
-          case TermKind::ShrU:
-            return constant(
-                c(0).lshr(clampShiftAmount(c(1), c(0).width())));
-          case TermKind::ShrS:
-            return constant(
-                c(0).ashr(clampShiftAmount(c(1), c(0).width())));
-          case TermKind::Mux:
-            return c(0).isZero() ? operands[2] : operands[1];
-          case TermKind::Concat: {
-            ApInt acc = c(unsigned(operands.size() - 1));
-            for (size_t i = operands.size() - 1; i-- > 0;)
-                acc = c(unsigned(i)).concat(acc);
-            return constant(acc);
-          }
-          case TermKind::Replicate:
-            return constant(c(0).isZero() ? ApInt(width, 0)
-                                          : ApInt::allOnes(width));
-          default:
-            break;
-        }
-    }
+    // Constant folding. A folded mux interns to its selected operand.
+    if (all_const && !operands.empty())
+        return constant(ir::evalComb(
+            *combOpOf(kind), width, {unsigned(operands.size())},
+            [&](unsigned i) -> const ApInt & {
+                return constOf(operands[i]);
+            }));
 
     // Local identity rewrites (x op neutral-element, idempotence).
     auto zero = [&](TermId id) {
@@ -491,7 +433,7 @@ TermBuilder::make(TermKind kind, unsigned width,
         // Overshift: amounts clamp to the width and every data bit is
         // discarded (shrs keeps the sign fill and stays symbolic).
         if (isConst(operands[1]) &&
-            clampShiftAmount(constOf(operands[1]), width) >= width)
+            ir::clampShiftAmount(constOf(operands[1]), width) >= width)
             return constant(ApInt(width, 0));
         break;
       default:

@@ -7,9 +7,8 @@
  * netlist and the LIL graph it was generated from — are evaluated
  * into terms owned by one shared TermBuilder. The builder
  * hash-conses structurally identical terms, folds constants with
- * exactly the rtl::Simulator / ir::evaluate() semantics (shift
- * amounts >= width saturate, division by zero yields 0, ROM
- * out-of-range reads yield 0), sorts the operands of commutative
+ * ir::evalComb() (ir/comb.hh), the evaluator rtl::Simulator and
+ * ir::evaluate() also use, sorts the operands of commutative
  * operators, and applies local identity rewrites (x+0, x&x,
  * mux(c,a,b), ...). Two values are proved equal when they reduce to
  * the same TermId; anything else falls back to co-simulation.
@@ -20,11 +19,13 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "analysis/dataflow.hh"
+#include "ir/comb.hh"
 #include "ir/ir.hh"
 #include "support/apint.hh"
 
@@ -36,33 +37,42 @@ namespace tv {
 using TermId = uint32_t;
 constexpr TermId invalidTerm = ~TermId(0);
 
-/** Operator of a term node (mirrors rtl::NodeKind's pure subset). */
+/** Operator of a term node. */
 enum class TermKind
 {
     Var,      ///< free variable (an architectural input)
     Const,    ///< literal
-    Add,
-    Sub,
-    Mul,
-    DivU,
-    DivS,
-    ModU,
-    ModS,
-    And,
-    Or,
-    Xor,
-    Shl,
-    ShrU,
-    ShrS,
-    ICmp,     ///< pred attr
-    Mux,      ///< operands: sel(1), then, else
-    Extract,  ///< lo attr
-    Concat,   ///< operand 0 is the high part
-    Replicate,///< 1-bit operand replicated to the term width
-    Rom,      ///< values attr; operand: index
+    // Add .. Rom, one per ir/combops.def row (ir/comb.hh). Attributes:
+    // ICmp pred, Extract lo, Rom romValues (operand: index).
+#define LN_COMB_OP(name, lil, term, arity) name,
+#include "ir/combops.def"
 };
 
 const char *termKindName(TermKind kind);
+
+/** The comb op term kind @p kind is; nullopt for Var and Const. */
+constexpr std::optional<ir::CombOp>
+combOpOf(TermKind kind)
+{
+    switch (kind) {
+#define LN_COMB_OP(name, lil, term, arity)                                   \
+      case TermKind::name: return ir::CombOp::name;
+#include "ir/combops.def"
+      default:
+        return std::nullopt;
+    }
+}
+
+constexpr TermKind
+termKindOf(ir::CombOp op)
+{
+    switch (op) {
+#define LN_COMB_OP(name, lil, term, arity)                                   \
+      case ir::CombOp::name: return TermKind::name;
+#include "ir/combops.def"
+    }
+    return TermKind::Const;
+}
 
 /** One node of the term DAG. */
 struct Term
@@ -110,6 +120,11 @@ class TermBuilder
      * chained graphs like an unrolled sqrt. */
     TermId extract(TermId value, unsigned lo, unsigned count);
     TermId rom(std::vector<ApInt> values, unsigned width, TermId index);
+
+    /** Term of comb op @p op: icmp(), extract() or rom() for the ops
+     * with attributes, make() for the rest. */
+    TermId comb(ir::CombOp op, unsigned width,
+                std::vector<TermId> operands, const ir::CombAttrs &attrs);
 
     const Term &term(TermId id) const { return terms_.at(id); }
     size_t size() const { return terms_.size(); }

@@ -1,7 +1,6 @@
 #include "asic/flow.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <map>
 
@@ -30,105 +29,41 @@ SynthesisResult::freqDeltaPercent(const SynthesisResult &base) const
 
 namespace {
 
-double
-log2ceil(unsigned w)
+/** Marks the nets driven by a Constant node, in one pass. */
+std::vector<bool>
+constantNets(const Module &m)
 {
-    return std::ceil(std::log2(std::max(2u, w)));
+    std::vector<bool> constant(m.numNets(), false);
+    for (const Node &node : m.nodes())
+        if (node.kind == NodeKind::Constant)
+            constant[node.result] = true;
+    return constant;
 }
 
-/** True if the shift amount operand is driven by a Constant node. */
-bool
-shiftByConstant(const Module &m, const Node &node)
-{
-    if (node.kind != NodeKind::Shl && node.kind != NodeKind::ShrU &&
-        node.kind != NodeKind::ShrS)
-        return false;
-    for (const Node &candidate : m.nodes())
-        if (candidate.result == node.operands[1])
-            return candidate.kind == NodeKind::Constant;
-    return false;
-}
-
-/** 22nm-class cell area (um^2); must track sched::TechLibrary. */
-double
-cellArea(const Module &m, const Node &node)
+/** 22nm-class delay and area of one node; @p constant is
+ * constantNets(m). */
+sched::CellCost
+nodeCost(const Module &m, const Node &node,
+         const std::vector<bool> &constant)
 {
     unsigned w = m.widthOf(node.result);
-    switch (node.kind) {
-      case NodeKind::Add:
-      case NodeKind::Sub:
-        return 0.30 * w;
-      case NodeKind::Mul: {
-        unsigned lw = m.widthOf(node.operands[0]);
-        unsigned rw = m.widthOf(node.operands[1]);
-        return 0.20 * lw * rw;
-      }
-      case NodeKind::DivU:
-      case NodeKind::DivS:
-      case NodeKind::ModU:
-      case NodeKind::ModS:
-        return 2.4 * w * w / 8.0;
-      case NodeKind::ICmp:
-        return 0.25 * m.widthOf(node.operands[0]);
-      case NodeKind::And:
-      case NodeKind::Or:
-      case NodeKind::Xor:
-        return 0.15 * w;
-      case NodeKind::Mux:
-        return 0.25 * w;
-      case NodeKind::Shl:
-      case NodeKind::ShrU:
-      case NodeKind::ShrS:
-        if (shiftByConstant(m, node))
-            return 0.0;
-        return 0.25 * w * log2ceil(w);
-      case NodeKind::Rom:
-        return 0.05 * double(node.romValues.size()) * w;
-      case NodeKind::Register:
-        return 0.8 * w;
-      default:
-        return 0.0;
+    if (auto comb = rtl::combOpOf(node.kind)) {
+        auto width = [&](size_t i) {
+            return i < node.operands.size() ? m.widthOf(node.operands[i])
+                                            : w;
+        };
+        return sched::combCellCost(
+            *comb, w, width(0), width(1),
+            node.operands.size() > 1 && constant[node.operands[1]],
+            node.romValues.size());
     }
-}
-
-/** 22nm-class propagation delay (ns); must track sched::TechLibrary. */
-double
-cellDelay(const Module &m, const Node &node)
-{
-    unsigned w = m.widthOf(node.result);
     switch (node.kind) {
-      case NodeKind::Add:
-      case NodeKind::Sub:
-        return 0.06 + 0.025 * log2ceil(w);
-      case NodeKind::Mul:
-        return 0.25 + 0.060 * log2ceil(w);
-      case NodeKind::DivU:
-      case NodeKind::DivS:
-      case NodeKind::ModU:
-      case NodeKind::ModS:
-        return 0.5 + 0.09 * w;
-      case NodeKind::ICmp:
-        return 0.05 + 0.020 * log2ceil(m.widthOf(node.operands[0]));
-      case NodeKind::And:
-      case NodeKind::Or:
-      case NodeKind::Xor:
-        return 0.035;
-      case NodeKind::Mux:
-        return 0.05;
-      case NodeKind::Shl:
-      case NodeKind::ShrU:
-      case NodeKind::ShrS:
-        if (shiftByConstant(m, node))
-            return 0.0;
-        return 0.05 * log2ceil(w);
-      case NodeKind::Rom:
-        return 0.12 + 0.025 * log2ceil(unsigned(node.romValues.size()));
       case NodeKind::Input:
-        return 0.20; // port arrival margin
+        return {0.20, 0.0}; // port arrival margin
       case NodeKind::Register:
-        return 0.08; // clk-to-q
+        return {0.08, 0.8 * w}; // clk-to-q
       default:
-        return 0.0;
+        return {};
     }
 }
 
@@ -174,9 +109,11 @@ AsicFlow::synthesizeBase() const
 double
 AsicFlow::moduleAreaUm2(const GeneratedModule &module) const
 {
+    const Module &m = module.module;
+    std::vector<bool> constant = constantNets(m);
     double area = 0.0;
-    for (const Node &node : module.module.nodes())
-        area += cellArea(module.module, node);
+    for (const Node &node : m.nodes())
+        area += nodeCost(m, node, constant).areaUm2;
     area += 3.0 * double(module.ports.size());
     return area;
 }
@@ -204,22 +141,18 @@ stagePaths(const GeneratedModule &module)
     std::vector<double> paths(num_stages, 0.0);
     std::vector<double> arrival(m.numNets(), 0.0);
     std::vector<int> stage(m.numNets(), module.firstStage);
+    for (const auto &[name, net] : m.inputs()) {
+        auto it = input_stage.find(name);
+        if (it != input_stage.end())
+            stage[net] = it->second;
+    }
+    std::vector<bool> constant = constantNets(m);
 
-    size_t input_index = 0;
-    (void)input_index;
     for (const Node &node : m.nodes()) {
         double inputs = 0.0;
         int s = module.firstStage;
         if (node.kind == NodeKind::Input) {
-            // Match the port name to find its stage.
-            for (const auto &[name, net] : m.inputs()) {
-                if (net == node.result) {
-                    auto it = input_stage.find(name);
-                    if (it != input_stage.end())
-                        s = it->second;
-                    break;
-                }
-            }
+            s = stage[node.result];
         } else if (node.kind == NodeKind::Register) {
             s = stage[node.operands[0]] + 1;
         } else {
@@ -228,7 +161,7 @@ stagePaths(const GeneratedModule &module)
                 s = std::max(s, stage[operand]);
             }
         }
-        double d = cellDelay(m, node);
+        double d = nodeCost(m, node, constant).delayNs;
         if (node.kind == NodeKind::Register) {
             // Path into the register closes in the source stage.
             double into = arrival[node.operands[0]] + 0.05;

@@ -4,7 +4,7 @@
  * the paper's commercial 22nm reference flow, Sec. 5.3).
  *
  * Area: cell-level accounting over the generated netlists using the
- * same 22nm-class library as the scheduler (sched::TechLibrary), plus
+ * same 22nm-class cost model as the scheduler (sched::combCellCost), plus
  * models of the SCAIE-V integration logic (decoder matches, write-port
  * muxing, stall/flush glue, custom register files, and the scoreboard
  * for decoupled hazard handling).
@@ -97,7 +97,6 @@ class AsicFlow
         const FlowOptions &options) const;
 
     const scaiev::Datasheet &core_;
-    sched::TechLibrary library_{sched::TimingMode::Library};
 };
 
 /** Deterministic pseudo-noise in [-amplitude, +amplitude]. */

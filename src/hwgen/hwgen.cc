@@ -31,31 +31,6 @@ GeneratedModule::findPort(SubInterface iface, const std::string &reg) const
 
 namespace {
 
-NodeKind
-combNodeKind(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::CombAdd: return NodeKind::Add;
-      case OpKind::CombSub: return NodeKind::Sub;
-      case OpKind::CombMul: return NodeKind::Mul;
-      case OpKind::CombDivU: return NodeKind::DivU;
-      case OpKind::CombDivS: return NodeKind::DivS;
-      case OpKind::CombModU: return NodeKind::ModU;
-      case OpKind::CombModS: return NodeKind::ModS;
-      case OpKind::CombAnd: return NodeKind::And;
-      case OpKind::CombOr: return NodeKind::Or;
-      case OpKind::CombXor: return NodeKind::Xor;
-      case OpKind::CombShl: return NodeKind::Shl;
-      case OpKind::CombShrU: return NodeKind::ShrU;
-      case OpKind::CombShrS: return NodeKind::ShrS;
-      case OpKind::CombMux: return NodeKind::Mux;
-      case OpKind::CombConcat: return NodeKind::Concat;
-      case OpKind::CombReplicate: return NodeKind::Replicate;
-      default:
-        LN_PANIC("not a comb op: ", ir::opKindName(kind));
-    }
-}
-
 class Generator
 {
   public:
@@ -262,31 +237,6 @@ class Generator
             define(op.result(), t, net);
             return;
           }
-          case OpKind::CombAdd:
-          case OpKind::CombSub:
-          case OpKind::CombMul:
-          case OpKind::CombDivU:
-          case OpKind::CombDivS:
-          case OpKind::CombModU:
-          case OpKind::CombModS:
-          case OpKind::CombAnd:
-          case OpKind::CombOr:
-          case OpKind::CombXor:
-          case OpKind::CombShl:
-          case OpKind::CombShrU:
-          case OpKind::CombShrS:
-          case OpKind::CombMux:
-          case OpKind::CombConcat:
-          case OpKind::CombReplicate: {
-            std::vector<NetId> operands;
-            for (unsigned i = 0; i < op.numOperands(); ++i)
-                operands.push_back(pipeTo(op.operand(i), t));
-            NetId net = out_.addNode(combNodeKind(op.kind()),
-                                     op.result()->type.width,
-                                     std::move(operands));
-            define(op.result(), t, net);
-            return;
-          }
           case OpKind::LilInstrWord: {
             InterfacePort &port = newPort(result, op,
                                           SubInterface::RdInstr, t);
@@ -408,9 +358,19 @@ class Generator
           case OpKind::LilSink:
             return;
           default:
+            break;
+        }
+        auto comb = ir::combOpOf(op.kind());
+        if (!comb)
             LN_PANIC("cannot generate hardware for ",
                      ir::opKindName(op.kind()));
-        }
+        std::vector<NetId> operands;
+        for (unsigned i = 0; i < op.numOperands(); ++i)
+            operands.push_back(pipeTo(op.operand(i), t));
+        NetId net = out_.addNode(rtl::nodeKindOf(*comb),
+                                 op.result()->type.width,
+                                 std::move(operands));
+        define(op.result(), t, net);
     }
 
     const lil::LilGraph &graph_;

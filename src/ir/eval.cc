@@ -29,51 +29,49 @@ isPureComputation(OpKind kind)
       case OpKind::CoredslConcat:
       case OpKind::CoredslExtract:
       case OpKind::CoredslRom:
-      case OpKind::CombConstant:
-      case OpKind::CombAdd:
-      case OpKind::CombSub:
-      case OpKind::CombMul:
-      case OpKind::CombDivU:
-      case OpKind::CombDivS:
-      case OpKind::CombModU:
-      case OpKind::CombModS:
-      case OpKind::CombAnd:
-      case OpKind::CombOr:
-      case OpKind::CombXor:
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-      case OpKind::CombICmp:
-      case OpKind::CombMux:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
-      case OpKind::CombRom:
         return true;
       default:
-        return false;
+        return isCombKind(kind);
     }
 }
 
-bool
-applyICmp(ICmpPred pred, const ApInt &lhs, const ApInt &rhs)
+CombAttrs
+combAttrsOf(const Operation &op)
 {
-    switch (pred) {
-      case ICmpPred::Eq: return lhs == rhs;
-      case ICmpPred::Ne: return lhs != rhs;
-      case ICmpPred::Ult: return lhs.ult(rhs);
-      case ICmpPred::Ule: return lhs.ule(rhs);
-      case ICmpPred::Ugt: return lhs.ugt(rhs);
-      case ICmpPred::Uge: return lhs.uge(rhs);
-      case ICmpPred::Slt: return lhs.slt(rhs);
-      case ICmpPred::Sle: return lhs.sle(rhs);
-      case ICmpPred::Sgt: return lhs.sgt(rhs);
-      case ICmpPred::Sge: return lhs.sge(rhs);
+    CombAttrs attrs;
+    attrs.numOperands = op.numOperands();
+    switch (op.kind()) {
+      case OpKind::CombICmp:
+        attrs.pred = static_cast<ICmpPred>(op.intAttr("pred"));
+        break;
+      case OpKind::CoredslExtract:
+      case OpKind::CombExtract:
+        attrs.lo = unsigned(op.intAttr("lo"));
+        break;
+      case OpKind::CoredslRom:
+      case OpKind::CombRom:
+        attrs.rom = op.romAttr("values");
+        break;
+      default:
+        break;
     }
-    LN_PANIC("invalid icmp predicate");
+    return attrs;
 }
 
 namespace {
+
+/** The comb op computing @p kind: comb kinds map to their own row, and
+ * the coredsl concat, extract and rom share the comb semantics. */
+std::optional<CombOp>
+combSemanticsOf(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::CoredslConcat: return CombOp::Concat;
+      case OpKind::CoredslExtract: return CombOp::Extract;
+      case OpKind::CoredslRom: return CombOp::Rom;
+      default: return combOpOf(kind);
+    }
+}
 
 /** Extend @p v (typed @p type) to @p width following its signedness. */
 ApInt
@@ -102,6 +100,25 @@ evaluate(const Operation &op, const std::vector<ApInt> &operands)
     const unsigned rw =
         op.numResults() ? op.result()->type.width : 0;
     auto otype = [&](unsigned i) { return op.operand(i)->type; };
+
+    if (auto comb = combSemanticsOf(op.kind())) {
+        switch (*comb) {
+          case CombOp::DivU:
+          case CombOp::DivS:
+          case CombOp::ModU:
+          case CombOp::ModS:
+            // Folding leaves a division by zero in place.
+            if (operands[1].isZero())
+                return std::nullopt;
+            break;
+          default:
+            break;
+        }
+        return evalComb(*comb, rw, combAttrsOf(op),
+                        [&](unsigned i) -> const ApInt & {
+                            return operands[i];
+                        });
+    }
 
     switch (op.kind()) {
       case OpKind::HwConstant:
@@ -140,12 +157,8 @@ evaluate(const Operation &op, const std::vector<ApInt> &operands)
 
       case OpKind::HwShl:
       case OpKind::HwShr: {
-        ApInt v = operands[0];
-        uint64_t raw_amount = operands[1].activeBits() > 32
-                                  ? v.width()
-                                  : operands[1].toUint64();
-        unsigned amount = unsigned(
-            std::min<uint64_t>(raw_amount, v.width()));
+        const ApInt &v = operands[0];
+        unsigned amount = clampShiftAmount(operands[1], v.width());
         if (op.kind() == OpKind::HwShl)
             return fitResult(v.shl(amount), rw);
         return fitResult(otype(0).isSigned ? v.ashr(amount)
@@ -176,85 +189,10 @@ evaluate(const Operation &op, const std::vector<ApInt> &operands)
       }
 
       case OpKind::HwMux:
-      case OpKind::CombMux:
         return operands[0].isZero() ? operands[2] : operands[1];
 
       case OpKind::CoredslCast:
         return extendTo(operands[0], otype(0), rw);
-
-      case OpKind::CoredslConcat:
-      case OpKind::CombConcat:
-        return operands[0].concat(operands[1]);
-
-      case OpKind::CoredslExtract:
-      case OpKind::CombExtract:
-        return operands[0].extract(unsigned(op.intAttr("lo")), rw);
-
-      case OpKind::CoredslRom:
-      case OpKind::CombRom: {
-        const auto &values = op.romAttr("values");
-        uint64_t index = op.numOperands()
-                             ? (operands[0].activeBits() > 63
-                                    ? values.size()
-                                    : operands[0].toUint64())
-                             : 0;
-        if (index >= values.size())
-            return ApInt(rw, 0);
-        return values[index].zextOrTrunc(rw);
-      }
-
-      case OpKind::CombAdd:
-        return operands[0] + operands[1];
-      case OpKind::CombSub:
-        return operands[0] - operands[1];
-      case OpKind::CombMul:
-        return operands[0] * operands[1];
-      case OpKind::CombDivU:
-        if (operands[1].isZero())
-            return std::nullopt;
-        return operands[0].udiv(operands[1]);
-      case OpKind::CombDivS:
-        if (operands[1].isZero())
-            return std::nullopt;
-        return operands[0].sdiv(operands[1]);
-      case OpKind::CombModU:
-        if (operands[1].isZero())
-            return std::nullopt;
-        return operands[0].urem(operands[1]);
-      case OpKind::CombModS:
-        if (operands[1].isZero())
-            return std::nullopt;
-        return operands[0].srem(operands[1]);
-      case OpKind::CombAnd:
-        return operands[0] & operands[1];
-      case OpKind::CombOr:
-        return operands[0] | operands[1];
-      case OpKind::CombXor:
-        return operands[0] ^ operands[1];
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS: {
-        uint64_t raw_amount = operands[1].activeBits() > 32
-                                  ? operands[0].width()
-                                  : operands[1].toUint64();
-        unsigned amount = unsigned(std::min<uint64_t>(
-            raw_amount, operands[0].width()));
-        if (op.kind() == OpKind::CombShl)
-            return operands[0].shl(amount);
-        if (op.kind() == OpKind::CombShrU)
-            return operands[0].lshr(amount);
-        return operands[0].ashr(amount);
-      }
-      case OpKind::CombICmp: {
-        auto pred = static_cast<ICmpPred>(op.intAttr("pred"));
-        return ApInt(1, applyICmp(pred, operands[0], operands[1]));
-      }
-      case OpKind::CombReplicate: {
-        ApInt out(rw, 0);
-        if (!operands[0].isZero())
-            out = ApInt::allOnes(rw);
-        return out;
-      }
 
       default:
         return std::nullopt;

@@ -56,25 +56,8 @@ opKindName(OpKind kind)
       case OpKind::LilWriteCustRegData: return "lil.write_custreg_data";
       case OpKind::LilSink: return "lil.sink";
       case OpKind::CombConstant: return "comb.constant";
-      case OpKind::CombAdd: return "comb.add";
-      case OpKind::CombSub: return "comb.sub";
-      case OpKind::CombMul: return "comb.mul";
-      case OpKind::CombDivU: return "comb.divu";
-      case OpKind::CombDivS: return "comb.divs";
-      case OpKind::CombModU: return "comb.modu";
-      case OpKind::CombModS: return "comb.mods";
-      case OpKind::CombAnd: return "comb.and";
-      case OpKind::CombOr: return "comb.or";
-      case OpKind::CombXor: return "comb.xor";
-      case OpKind::CombShl: return "comb.shl";
-      case OpKind::CombShrU: return "comb.shru";
-      case OpKind::CombShrS: return "comb.shrs";
-      case OpKind::CombICmp: return "comb.icmp";
-      case OpKind::CombMux: return "comb.mux";
-      case OpKind::CombExtract: return "comb.extract";
-      case OpKind::CombConcat: return "comb.concat";
-      case OpKind::CombReplicate: return "comb.replicate";
-      case OpKind::CombRom: return "comb.rom";
+#define LN_COMB_OP(name, lil, term, arity) case OpKind::Comb##name: return lil;
+#include "ir/combops.def"
     }
     return "<invalid>";
 }

@@ -96,25 +96,11 @@ enum class OpKind
 
     // --- comb dialect (signless combinational logic, Fig. 5c/5d) ---
     CombConstant, ///< apAttr("value")
-    CombAdd,
-    CombSub,
-    CombMul,
-    CombDivU,
-    CombDivS,
-    CombModU,
-    CombModS,
-    CombAnd,
-    CombOr,
-    CombXor,
-    CombShl,
-    CombShrU,
-    CombShrS,
-    CombICmp,     ///< intAttr("pred")
-    CombMux,
-    CombExtract,  ///< intAttr("lo"); result width selects the count
-    CombConcat,   ///< first operand is the high part
-    CombReplicate,///< replicate a 1-bit value to the result width
-    CombRom,      ///< romAttr("values"); operands: index
+    // CombAdd .. CombRom, one per ir/combops.def row (ir/comb.hh).
+    // Attributes: CombICmp intAttr("pred"), CombExtract intAttr("lo")
+    // (the result width selects the count), CombRom romAttr("values").
+#define LN_COMB_OP(name, lil, term, arity) Comb##name,
+#include "ir/combops.def"
 };
 
 /** Comparison predicates shared by hwarith.icmp and comb.icmp. */

@@ -89,7 +89,7 @@ runCse(lil::LilGraph &graph)
 
     for (const auto &op : graph.graph.ops()) {
         if (op->numResults() != 1 || op->subgraph() ||
-            !detail::isCombKind(op->kind()) ||
+            !ir::isCombKind(op->kind()) ||
             !ir::isPureComputation(op->kind()))
             continue;
         // Replaced duplicates linger as dead ops until DCE runs; the

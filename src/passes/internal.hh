@@ -29,16 +29,6 @@ const ApInt *definingConstant(const ir::Value *v);
 /** log2 of a power-of-two constant, nullopt otherwise. */
 std::optional<unsigned> log2OfPowerOfTwo(const ApInt &value);
 
-/** True for comb.* dialect kinds. */
-bool isCombKind(ir::OpKind kind);
-
-/**
- * The effective shift amount of a constant, clamped the way
- * rtl/sim.cc and ir/eval.cc clamp it (amounts with more than 32
- * active bits saturate to the value width; never exceeds the width).
- */
-unsigned clampedShiftAmount(const ApInt &amount, unsigned value_width);
-
 } // namespace detail
 } // namespace passes
 } // namespace longnail

@@ -2,6 +2,8 @@
 
 #include <random>
 
+#include "ir/eval.hh"
+#include "lil/cosim.hh"
 #include "lil/interp.hh"
 #include "support/logging.hh"
 
@@ -13,161 +15,6 @@ using analysis::tv::TermId;
 using analysis::tv::TermKind;
 using analysis::tv::invalidTerm;
 using ir::OpKind;
-
-namespace {
-
-TermKind
-termKindOfComb(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::CombAdd: return TermKind::Add;
-      case OpKind::CombSub: return TermKind::Sub;
-      case OpKind::CombMul: return TermKind::Mul;
-      case OpKind::CombDivU: return TermKind::DivU;
-      case OpKind::CombDivS: return TermKind::DivS;
-      case OpKind::CombModU: return TermKind::ModU;
-      case OpKind::CombModS: return TermKind::ModS;
-      case OpKind::CombAnd: return TermKind::And;
-      case OpKind::CombOr: return TermKind::Or;
-      case OpKind::CombXor: return TermKind::Xor;
-      case OpKind::CombShl: return TermKind::Shl;
-      case OpKind::CombShrU: return TermKind::ShrU;
-      case OpKind::CombShrS: return TermKind::ShrS;
-      case OpKind::CombMux: return TermKind::Mux;
-      case OpKind::CombConcat: return TermKind::Concat;
-      case OpKind::CombReplicate: return TermKind::Replicate;
-      default:
-        return TermKind::Var; // caller treats as "not a comb op"
-    }
-}
-
-std::string
-hex(const ApInt &v)
-{
-    return "0x" + v.toStringUnsigned(16);
-}
-
-/** Deterministic memory contents: the same pure address hash the
- * netlist co-simulation uses (analysis/tv/equiv.cc). */
-ApInt
-hashMemWord(const ApInt &addr)
-{
-    uint64_t x = addr.toUint64() ^ 0x5bd1e995u;
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdull;
-    x ^= x >> 33;
-    return ApInt(32, uint32_t(x));
-}
-
-lil::InterpInput
-cosimInput(const lil::LilGraph &graph,
-           const coredsl::ElaboratedIsa *isa, unsigned trial,
-           std::mt19937 &rng)
-{
-    auto word = [&]() -> uint32_t {
-        if (trial == 0)
-            return 0;
-        if (trial == 1)
-            return ~0u;
-        return rng();
-    };
-    lil::InterpInput input;
-    uint32_t raw = word();
-    input.instrWord =
-        ApInt(32, graph.instr
-                      ? (graph.instr->match | (raw & ~graph.instr->mask))
-                      : raw);
-    input.rs1 = ApInt(32, word());
-    input.rs2 = ApInt(32, word());
-    input.pc = ApInt(32, word() & ~3u);
-    input.readMem = hashMemWord;
-    if (!isa)
-        return input;
-    for (const auto &state : isa->state) {
-        if (state.isCoreState || state.isConst ||
-            state.kind != coredsl::StateInfo::Kind::Register)
-            continue;
-        std::vector<ApInt> contents;
-        for (uint64_t i = 0; i < state.numElements; ++i)
-            contents.push_back(
-                ApInt(state.elementType.width,
-                      trial == 0 ? 0
-                      : trial == 1
-                          ? ~0ull
-                          : (uint64_t(rng()) << 32 | rng())));
-        input.custRegs[state.name] = contents;
-    }
-    return input;
-}
-
-std::string
-describeInput(const lil::InterpInput &input)
-{
-    return "instr_word=" + hex(input.instrWord) +
-           " rs1=" + hex(input.rs1) + " rs2=" + hex(input.rs2) +
-           " pc=" + hex(input.pc);
-}
-
-/** First difference between the pre-pass and post-pass effects; empty
- * when they agree (mirrors tv/equiv.cc diffEffects). */
-std::string
-diffResults(const lil::InterpResult &want, const lil::InterpResult &got)
-{
-    auto scalar = [](const char *what, const lil::InterpWrite &w,
-                     const lil::InterpWrite &g) -> std::string {
-        if (w.enabled != g.enabled)
-            return std::string(what) + " valid: before=" +
-                   (w.enabled ? "1" : "0") +
-                   " after=" + (g.enabled ? "1" : "0");
-        if (w.enabled && !(w.value == g.value))
-            return std::string(what) + ": before=" + hex(w.value) +
-                   " after=" + hex(g.value);
-        return "";
-    };
-    std::string d = scalar("WrRD", want.rd, got.rd);
-    if (d.empty())
-        d = scalar("WrPC", want.pcWrite, got.pcWrite);
-    if (!d.empty())
-        return d;
-    if (want.mem.enabled != got.mem.enabled)
-        return std::string("WrMem valid: before=") +
-               (want.mem.enabled ? "1" : "0") +
-               " after=" + (got.mem.enabled ? "1" : "0");
-    if (want.mem.enabled &&
-        (!(want.mem.addr == got.mem.addr) ||
-         !(want.mem.value == got.mem.value)))
-        return "WrMem: before=[" + hex(want.mem.addr) + "]<-" +
-               hex(want.mem.value) + " after=[" + hex(got.mem.addr) +
-               "]<-" + hex(got.mem.value);
-    if (want.memReadUsed != got.memReadUsed)
-        return std::string("RdMem valid: before=") +
-               (want.memReadUsed ? "1" : "0") +
-               " after=" + (got.memReadUsed ? "1" : "0");
-    if (want.memReadUsed && !(want.memReadAddr == got.memReadAddr))
-        return "RdMem addr: before=" + hex(want.memReadAddr) +
-               " after=" + hex(got.memReadAddr);
-    for (const auto &[reg, w] : want.custWrites) {
-        auto it = got.custWrites.find(reg);
-        bool got_enabled =
-            it != got.custWrites.end() && it->second.enabled;
-        if (w.enabled != got_enabled)
-            return "Wr" + reg + " valid: before=" +
-                   (w.enabled ? "1" : "0") +
-                   " after=" + (got_enabled ? "1" : "0");
-        if (w.enabled && (!(w.value == it->second.value) ||
-                          !(w.index == it->second.index)))
-            return "Wr" + reg + ": before=[" + hex(w.index) + "]<-" +
-                   hex(w.value) + " after=[" + hex(it->second.index) +
-                   "]<-" + hex(it->second.value);
-    }
-    for (const auto &[reg, g] : got.custWrites) {
-        if (g.enabled && !want.custWrites.count(reg))
-            return "Wr" + reg + " valid: before=0 after=1";
-    }
-    return "";
-}
-
-} // namespace
 
 SignatureChecker::SignatureChecker(const coredsl::ElaboratedIsa *isa,
                                    unsigned trials)
@@ -224,19 +71,6 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
           case OpKind::CombConstant:
             values[op->result()] =
                 b.constant(op->apAttr("value"));
-            break;
-          case OpKind::CombExtract:
-            values[op->result()] = b.extract(
-                get(op->operand(0)), unsigned(op->intAttr("lo")), rw);
-            break;
-          case OpKind::CombICmp:
-            values[op->result()] = b.icmp(
-                static_cast<ir::ICmpPred>(op->intAttr("pred")),
-                get(op->operand(0)), get(op->operand(1)));
-            break;
-          case OpKind::CombRom:
-            values[op->result()] = b.rom(
-                op->romAttr("values"), rw, get(op->operand(0)));
             break;
           case OpKind::LilInstrWord:
             values[op->result()] = b.var("instr_word", rw);
@@ -307,12 +141,12 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
           case OpKind::LilSink:
             break;
           default:
-            if (termKindOfComb(kind) != TermKind::Var) {
+            if (auto comb = ir::combOpOf(kind)) {
                 std::vector<TermId> operands;
                 for (unsigned i = 0; i < op->numOperands(); ++i)
                     operands.push_back(get(op->operand(i)));
-                values[op->result()] = b.make(
-                    termKindOfComb(kind), rw, std::move(operands));
+                values[op->result()] = b.comb(
+                    *comb, rw, std::move(operands), ir::combAttrsOf(*op));
             } else if (op->numResults()) {
                 // Unmodeled: a fresh opaque can never prove equal, so
                 // the check degrades to co-simulation, never to a
@@ -381,9 +215,9 @@ SignatureChecker::capture(const lil::LilGraph &graph)
 {
     GraphCapture cap;
     cap.sig = buildSignature(graph);
-    std::mt19937 rng(0x4c4e5456u); // deterministic: "LNTV"
+    std::mt19937 rng(lil::cosimSeed);
     for (unsigned trial = 0; trial < trials_; ++trial) {
-        cap.inputs.push_back(cosimInput(graph, isa_, trial, rng));
+        cap.inputs.push_back(lil::cosimInput(graph, isa_, trial, rng));
         cap.results.push_back(
             lil::interpret(graph, cap.inputs.back()));
     }
@@ -401,11 +235,13 @@ SignatureChecker::check(const lil::LilGraph &graph,
     for (size_t i = 0; i < before.inputs.size(); ++i) {
         lil::InterpResult got =
             lil::interpret(graph, before.inputs[i]);
-        std::string diff = diffResults(before.results[i], got);
+        std::string diff =
+            lil::diffEffects(before.results[i], got, "before", "after");
         if (diff.empty())
             continue;
         detail = "counterexample (trial " + std::to_string(i) +
-                 "): " + describeInput(before.inputs[i]) + ": " + diff;
+                 "): " + lil::describeInput(before.inputs[i]) + ": " +
+                 diff;
         return Outcome::Refuted;
     }
     return Outcome::CosimAgreed;

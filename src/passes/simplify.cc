@@ -83,7 +83,7 @@ simplifySweep(ir::Graph &graph)
         snapshot.push_back(op.get());
 
     for (ir::Operation *op : snapshot) {
-        if (op->numResults() != 1 || !detail::isCombKind(op->kind()))
+        if (op->numResults() != 1 || !ir::isCombKind(op->kind()))
             continue;
         OpKind k = op->kind();
         if (k == OpKind::CombConstant || !ir::isPureComputation(k))
@@ -201,10 +201,10 @@ simplifySweep(ir::Graph &graph)
           case OpKind::CombShrS:
             if (!c1)
                 break;
-            if (detail::clampedShiftAmount(*c1, w) == 0) {
+            if (ir::clampShiftAmount(*c1, w) == 0) {
                 replaceWith(op->operand(0));
             } else if (k != OpKind::CombShrS &&
-                       detail::clampedShiftAmount(*c1, w) >= w) {
+                       ir::clampShiftAmount(*c1, w) >= w) {
                 // Overshift discards every data bit (shrs keeps the
                 // sign fill, so it stays untouched).
                 toConst(ApInt(w, 0));

@@ -13,25 +13,8 @@ nodeKindName(NodeKind kind)
     switch (kind) {
       case NodeKind::Input: return "input";
       case NodeKind::Constant: return "constant";
-      case NodeKind::Add: return "add";
-      case NodeKind::Sub: return "sub";
-      case NodeKind::Mul: return "mul";
-      case NodeKind::DivU: return "divu";
-      case NodeKind::DivS: return "divs";
-      case NodeKind::ModU: return "modu";
-      case NodeKind::ModS: return "mods";
-      case NodeKind::And: return "and";
-      case NodeKind::Or: return "or";
-      case NodeKind::Xor: return "xor";
-      case NodeKind::Shl: return "shl";
-      case NodeKind::ShrU: return "shru";
-      case NodeKind::ShrS: return "shrs";
-      case NodeKind::ICmp: return "icmp";
-      case NodeKind::Mux: return "mux";
-      case NodeKind::Extract: return "extract";
-      case NodeKind::Concat: return "concat";
-      case NodeKind::Replicate: return "replicate";
-      case NodeKind::Rom: return "rom";
+#define LN_COMB_OP(name, lil, term, arity) case NodeKind::name: return term;
+#include "ir/combops.def"
       case NodeKind::Register: return "register";
     }
     return "?";

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/comb.hh"
 #include "ir/ir.hh"
 #include "support/apint.hh"
 
@@ -33,25 +34,10 @@ enum class NodeKind
 {
     Input,     ///< module input port
     Constant,  ///< literal; value attr
-    Add,
-    Sub,
-    Mul,
-    DivU,
-    DivS,
-    ModU,
-    ModS,
-    And,
-    Or,
-    Xor,
-    Shl,
-    ShrU,
-    ShrS,
-    ICmp,      ///< predicate attr
-    Mux,       ///< operands: sel(1), then, else
-    Extract,   ///< lo attr
-    Concat,    ///< operand 0 is the high part
-    Replicate, ///< 1-bit operand replicated to the result width
-    Rom,       ///< values attr; operand: index
+    // Add .. Rom, one per ir/combops.def row (ir/comb.hh). Attributes:
+    // ICmp pred, Extract lo, Rom romValues (operand: index).
+#define LN_COMB_OP(name, lil, term, arity) name,
+#include "ir/combops.def"
     Register,  ///< operands: d [, enable]; init attr
 };
 
@@ -69,6 +55,39 @@ struct Node
     unsigned lo = 0;
     std::vector<ApInt> romValues;
 };
+
+/** The comb op node kind @p kind is; nullopt for Input, Constant and
+ * Register. */
+constexpr std::optional<ir::CombOp>
+combOpOf(NodeKind kind)
+{
+    switch (kind) {
+#define LN_COMB_OP(name, lil, term, arity)                                   \
+      case NodeKind::name: return ir::CombOp::name;
+#include "ir/combops.def"
+      default:
+        return std::nullopt;
+    }
+}
+
+constexpr NodeKind
+nodeKindOf(ir::CombOp op)
+{
+    switch (op) {
+#define LN_COMB_OP(name, lil, term, arity)                                   \
+      case ir::CombOp::name: return NodeKind::name;
+#include "ir/combops.def"
+    }
+    return NodeKind::Constant;
+}
+
+/** The ir::evalComb() attributes of comb node @p node. */
+inline ir::CombAttrs
+combAttrsOf(const Node &node)
+{
+    return {unsigned(node.operands.size()), node.pred, node.lo,
+            node.romValues};
+}
 
 /** An output port: a name bound to a driven net. */
 struct OutputPort

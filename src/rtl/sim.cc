@@ -1,9 +1,7 @@
 #include "rtl/sim.hh"
 
-#include <algorithm>
 #include <atomic>
 
-#include "ir/eval.hh"
 #include "obs/metrics.hh"
 #include "support/logging.hh"
 
@@ -182,87 +180,12 @@ Simulator::evalCombInterp()
           case NodeKind::Constant:
             out = node.value;
             break;
-          case NodeKind::Add:
-            out = in(0) + in(1);
-            break;
-          case NodeKind::Sub:
-            out = in(0) - in(1);
-            break;
-          case NodeKind::Mul:
-            out = in(0) * in(1);
-            break;
-          case NodeKind::DivU:
-            out = in(1).isZero() ? ApInt(out.width(), 0)
-                                 : in(0).udiv(in(1));
-            break;
-          case NodeKind::DivS:
-            out = in(1).isZero() ? ApInt(out.width(), 0)
-                                 : in(0).sdiv(in(1));
-            break;
-          case NodeKind::ModU:
-            out = in(1).isZero() ? ApInt(out.width(), 0)
-                                 : in(0).urem(in(1));
-            break;
-          case NodeKind::ModS:
-            out = in(1).isZero() ? ApInt(out.width(), 0)
-                                 : in(0).srem(in(1));
-            break;
-          case NodeKind::And:
-            out = in(0) & in(1);
-            break;
-          case NodeKind::Or:
-            out = in(0) | in(1);
-            break;
-          case NodeKind::Xor:
-            out = in(0) ^ in(1);
-            break;
-          case NodeKind::Shl:
-          case NodeKind::ShrU:
-          case NodeKind::ShrS: {
-            uint64_t raw = in(1).activeBits() > 32
-                               ? in(0).width()
-                               : in(1).toUint64();
-            unsigned amount = unsigned(
-                std::min<uint64_t>(raw, in(0).width()));
-            if (node.kind == NodeKind::Shl)
-                out = in(0).shl(amount);
-            else if (node.kind == NodeKind::ShrU)
-                out = in(0).lshr(amount);
-            else
-                out = in(0).ashr(amount);
-            break;
-          }
-          case NodeKind::ICmp:
-            out = ApInt(1, ir::applyICmp(node.pred, in(0), in(1)));
-            break;
-          case NodeKind::Mux:
-            out = in(0).isZero() ? in(2) : in(1);
-            break;
-          case NodeKind::Extract:
-            out = in(0).extract(node.lo, out.width());
-            break;
-          case NodeKind::Concat: {
-            ApInt acc = in(node.operands.size() - 1);
-            for (size_t i = node.operands.size() - 1; i-- > 0;)
-                acc = in(i).concat(acc);
-            out = acc;
-            break;
-          }
-          case NodeKind::Replicate:
-            out = in(0).isZero() ? ApInt(out.width(), 0)
-                                 : ApInt::allOnes(out.width());
-            break;
-          case NodeKind::Rom: {
-            uint64_t index = in(0).activeBits() > 63
-                                 ? node.romValues.size()
-                                 : in(0).toUint64();
-            out = index < node.romValues.size()
-                      ? node.romValues[index].zextOrTrunc(out.width())
-                      : ApInt(out.width(), 0);
-            break;
-          }
           case NodeKind::Register:
             out = regState_[reg_index++];
+            break;
+          default:
+            out = ir::evalComb(*combOpOf(node.kind), out.width(),
+                               combAttrsOf(node), in);
             break;
         }
     }

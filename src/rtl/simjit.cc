@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "ir/eval.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "support/logging.hh"
@@ -53,8 +52,8 @@ cmpEval(ir::ICmpPred pred, uint64_t a, uint64_t b, unsigned shift)
     return false;
 }
 
-/** The interpreter's shift-amount rule: clamp to the operand width,
- * treating amounts that need more than 32 bits as "all the way". */
+/** ir::clampShiftAmount() for a packed amount: any amount needing
+ * more than 32 bits already exceeds the operand width. */
 inline unsigned
 clampShift(uint64_t amount, unsigned width)
 {
@@ -338,10 +337,8 @@ Program::compile(const Module &module)
                 insn.sshift = uint16_t(64 - w);
                 if (const ApInt *amount =
                         const_amount(node.operands[1])) {
-                    uint64_t raw = amount->activeBits() > 32
-                                       ? w
-                                       : amount->toUint64();
-                    insn.shift = uint16_t(clampShift(raw, w));
+                    insn.shift =
+                        uint16_t(ir::clampShiftAmount(*amount, w));
                     insn.op = node.kind == NodeKind::Shl ? Op::ShlI
                               : node.kind == NodeKind::ShrU ? Op::ShrUI
                                                             : Op::ShrSI;
@@ -1018,7 +1015,7 @@ Machine::evalComb()
     {
         const auto &table = prog_->romTables2_[ip->aux];
         u128 iv = LN_W2(0, a);
-        // activeBits() > 63 is out of bounds for the interpreter.
+        // activeBits() > 63 is out of bounds for ir::evalComb().
         uint64_t index = (iv >> 63) ? ~uint64_t(0) : uint64_t(iv);
         W[ip->dst] = index < table.size() ? table[index] : u128(0);
     }
@@ -1149,94 +1146,20 @@ Machine::storeNet(NetId net, const ApInt &value)
     }
 }
 
-/** Fallback for nodes touching wide nets: evaluate with interpreter
- * semantics on ApInts. Rare by construction for RV32 ISAXes. */
+/** Fallback for nodes touching wide nets: evaluate on ApInts with
+ * ir::evalComb(). Rare by construction for RV32 ISAXes. */
 void
 Machine::execWide(uint32_t nodeIndex)
 {
     const Node &node = prog_->module_->nodes()[nodeIndex];
-    unsigned w = prog_->module_->widthOf(node.result);
-    auto in = [&](unsigned i) { return loadNet(node.operands[i]); };
-    ApInt out(w, 0);
-    switch (node.kind) {
-      case NodeKind::Input:
-      case NodeKind::Constant:
-      case NodeKind::Register:
+    auto comb = combOpOf(node.kind);
+    if (!comb)
         LN_PANIC("node kind has no wide fallback");
-      case NodeKind::Add: out = in(0) + in(1); break;
-      case NodeKind::Sub: out = in(0) - in(1); break;
-      case NodeKind::Mul: out = in(0) * in(1); break;
-      case NodeKind::DivU: {
-        ApInt rhs = in(1);
-        if (!rhs.isZero())
-            out = in(0).udiv(rhs);
-        break;
-      }
-      case NodeKind::DivS: {
-        ApInt rhs = in(1);
-        if (!rhs.isZero())
-            out = in(0).sdiv(rhs);
-        break;
-      }
-      case NodeKind::ModU: {
-        ApInt rhs = in(1);
-        if (!rhs.isZero())
-            out = in(0).urem(rhs);
-        break;
-      }
-      case NodeKind::ModS: {
-        ApInt rhs = in(1);
-        if (!rhs.isZero())
-            out = in(0).srem(rhs);
-        break;
-      }
-      case NodeKind::And: out = in(0) & in(1); break;
-      case NodeKind::Or: out = in(0) | in(1); break;
-      case NodeKind::Xor: out = in(0) ^ in(1); break;
-      case NodeKind::Shl:
-      case NodeKind::ShrU:
-      case NodeKind::ShrS: {
-        ApInt value = in(0), amt = in(1);
-        uint64_t raw =
-            amt.activeBits() > 32 ? value.width() : amt.toUint64();
-        unsigned amount = clampShift(raw, value.width());
-        if (node.kind == NodeKind::Shl)
-            out = value.shl(amount);
-        else if (node.kind == NodeKind::ShrU)
-            out = value.lshr(amount);
-        else
-            out = value.ashr(amount);
-        break;
-      }
-      case NodeKind::ICmp:
-        out = ApInt(1, ir::applyICmp(node.pred, in(0), in(1)));
-        break;
-      case NodeKind::Mux:
-        out = in(0).isZero() ? in(2) : in(1);
-        break;
-      case NodeKind::Extract:
-        out = in(0).extract(node.lo, w);
-        break;
-      case NodeKind::Concat: {
-        ApInt acc = in(unsigned(node.operands.size() - 1));
-        for (size_t i = node.operands.size() - 1; i-- > 0;)
-            acc = in(unsigned(i)).concat(acc);
-        out = std::move(acc);
-        break;
-      }
-      case NodeKind::Replicate:
-        out = in(0).isZero() ? ApInt(w, 0) : ApInt::allOnes(w);
-        break;
-      case NodeKind::Rom: {
-        ApInt idx = in(0);
-        uint64_t index = idx.activeBits() > 63 ? node.romValues.size()
-                                               : idx.toUint64();
-        if (index < node.romValues.size())
-            out = node.romValues[index].zextOrTrunc(w);
-        break;
-      }
-    }
-    storeNet(node.result, out);
+    storeNet(node.result,
+             ir::evalComb(*comb, prog_->module_->widthOf(node.result),
+                          combAttrsOf(node), [&](unsigned i) {
+                              return loadNet(node.operands[i]);
+                          }));
 }
 
 } // namespace simjit

@@ -35,49 +35,79 @@ resultWidth(const Operation &op)
 
 } // namespace
 
+CellCost
+combCellCost(ir::CombOp op, unsigned w, unsigned lhs_width,
+             unsigned rhs_width, bool shift_by_constant,
+             size_t rom_entries)
+{
+    using ir::CombOp;
+    switch (op) {
+      case CombOp::Add:
+      case CombOp::Sub:
+        // Carry-lookahead-style: logarithmic in the width.
+        return {0.06 + 0.025 * log2ceil(w), 0.30 * w};
+      case CombOp::Mul:
+        return {0.25 + 0.060 * log2ceil(w), 0.20 * lhs_width * rhs_width};
+      case CombOp::DivU:
+      case CombOp::DivS:
+      case CombOp::ModU:
+      case CombOp::ModS:
+        // Combinational divider: linear in the width.
+        return {0.5 + 0.09 * w, 2.4 * w * w / 8.0};
+      case CombOp::ICmp:
+        return {0.05 + 0.020 * log2ceil(lhs_width), 0.25 * lhs_width};
+      case CombOp::And:
+      case CombOp::Or:
+      case CombOp::Xor:
+        return {0.035, 0.15 * w};
+      case CombOp::Mux:
+        return {0.05, 0.25 * w};
+      case CombOp::Shl:
+      case CombOp::ShrU:
+      case CombOp::ShrS:
+        // Constant shift amounts are wiring; dynamic ones are barrel
+        // shifters with log2(w) mux levels.
+        if (shift_by_constant)
+            return {};
+        return {0.05 * log2ceil(w), 0.25 * w * log2ceil(w)};
+      case CombOp::Rom:
+        // LUT-style mapping: ~area per stored bit.
+        return {0.12 + 0.025 * log2ceil(unsigned(rom_entries)),
+                0.05 * double(rom_entries) * w};
+      case CombOp::Extract:
+      case CombOp::Concat:
+      case CombOp::Replicate:
+        return {}; // wiring only
+    }
+    return {};
+}
+
+namespace {
+
+/** Cost of comb op @p op at the LIL level. */
+CellCost
+combCost(const Operation &op, ir::CombOp comb)
+{
+    unsigned w = resultWidth(op);
+    auto width = [&](unsigned i) {
+        return i < op.numOperands() ? op.operand(i)->type.width : w;
+    };
+    return combCellCost(comb, w, width(0), width(1),
+                        operandIsConstant(op, 1),
+                        comb == ir::CombOp::Rom
+                            ? op.romAttr("values").size()
+                            : 0);
+}
+
+} // namespace
+
 double
 TechLibrary::physicalDelayNs(const Operation &op) const
 {
-    unsigned w = resultWidth(op);
+    if (auto comb = ir::combOpOf(op.kind()))
+        return combCost(op, *comb).delayNs;
     switch (op.kind()) {
-      case OpKind::CombAdd:
-      case OpKind::CombSub:
-        // Carry-lookahead-style: logarithmic in the width.
-        return 0.06 + 0.025 * log2ceil(w);
-      case OpKind::CombMul:
-        return 0.25 + 0.060 * log2ceil(w);
-      case OpKind::CombDivU:
-      case OpKind::CombDivS:
-      case OpKind::CombModU:
-      case OpKind::CombModS:
-        // Combinational divider: linear in the width.
-        return 0.5 + 0.09 * w;
-      case OpKind::CombICmp:
-        return 0.05 + 0.020 * log2ceil(w == 1 && op.numOperands()
-                                           ? op.operand(0)->type.width
-                                           : w);
-      case OpKind::CombAnd:
-      case OpKind::CombOr:
-      case OpKind::CombXor:
-        return 0.035;
-      case OpKind::CombMux:
-        return 0.05;
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-        // Constant shift amounts are wiring; dynamic ones are barrel
-        // shifters with log2(w) mux levels.
-        if (operandIsConstant(op, 1))
-            return 0.0;
-        return 0.05 * log2ceil(w);
-      case OpKind::CombRom: {
-        size_t entries = op.romAttr("values").size();
-        return 0.12 + 0.025 * log2ceil(unsigned(entries));
-      }
       case OpKind::CombConstant:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
         return 0.0; // wiring only
       // Sub-interface operations: port arrival/setup margins.
       case OpKind::LilInstrWord:
@@ -107,80 +137,24 @@ TechLibrary::timing(const Operation &op) const
     if (op.kind() == OpKind::LilReadMem)
         t.latency = 1;
 
-    if (mode_ == TimingMode::Library) {
-        t.delayNs = physicalDelayNs(op);
-        return t;
-    }
+    t.delayNs = physicalDelayNs(op);
     // Uniform mode (paper Sec. 4.2): every logic operation costs one
-    // uniform delay unit; pure wiring (including shifts by constants)
-    // is free.
-    switch (op.kind()) {
-      case OpKind::CombConstant:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
-        t.delayNs = 0.0;
-        break;
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-        t.delayNs = operandIsConstant(op, 1) ? 0.0 : uniformDelayNs();
-        break;
-      default:
+    // uniform delay unit; pure wiring (zero physical delay: constants,
+    // extracts, concats, replicates and shifts by constants) is free.
+    if (mode_ == TimingMode::Uniform && t.delayNs != 0.0)
         t.delayNs = uniformDelayNs();
-        break;
-    }
     return t;
 }
 
 double
 TechLibrary::areaUm2(const Operation &op) const
 {
-    unsigned w = resultWidth(op);
-    switch (op.kind()) {
-      case OpKind::CombAdd:
-      case OpKind::CombSub:
-        return 0.30 * w;
-      case OpKind::CombMul: {
-        unsigned lw = op.operand(0)->type.width;
-        unsigned rw = op.operand(1)->type.width;
-        return 0.20 * lw * rw;
-      }
-      case OpKind::CombDivU:
-      case OpKind::CombDivS:
-      case OpKind::CombModU:
-      case OpKind::CombModS:
-        return 2.4 * w * w / 8.0;
-      case OpKind::CombICmp: {
-        unsigned ow = op.numOperands() ? op.operand(0)->type.width : w;
-        return 0.25 * ow;
-      }
-      case OpKind::CombAnd:
-      case OpKind::CombOr:
-      case OpKind::CombXor:
-        return 0.15 * w;
-      case OpKind::CombMux:
-        return 0.25 * w;
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-        if (operandIsConstant(op, 1))
-            return 0.0;
-        return 0.25 * w * log2ceil(w);
-      case OpKind::CombRom: {
-        size_t entries = op.romAttr("values").size();
-        // LUT-style mapping: ~area per stored bit.
-        return 0.05 * double(entries) * w;
-      }
-      case OpKind::CombConstant:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
+    if (auto comb = ir::combOpOf(op.kind()))
+        return combCost(op, *comb).areaUm2;
+    if (op.kind() == OpKind::CombConstant)
         return 0.0;
-      default:
-        // Interface ops: handshake/driver logic.
-        return 3.0;
-    }
+    // Interface ops: handshake/driver logic.
+    return 3.0;
 }
 
 } // namespace sched

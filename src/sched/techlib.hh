@@ -20,6 +20,9 @@
 #ifndef LONGNAIL_SCHED_TECHLIB_HH
 #define LONGNAIL_SCHED_TECHLIB_HH
 
+#include <cstddef>
+
+#include "ir/comb.hh"
 #include "ir/ir.hh"
 
 namespace longnail {
@@ -37,6 +40,25 @@ struct OpTiming
     double delayNs = 0.0; ///< combinational propagation delay
     unsigned latency = 0; ///< cycles until the result is available
 };
+
+/** Propagation delay and cell area of one operator instance. */
+struct CellCost
+{
+    double delayNs = 0.0;
+    double areaUm2 = 0.0;
+};
+
+/**
+ * The 22nm-class cost of comb op @p op: the one cost model behind both
+ * TechLibrary (LIL operations) and asic::AsicFlow (netlist nodes).
+ * @p width is the result width, @p lhs_width and @p rhs_width those of
+ * operands 0 and 1 (the multiplier array and the compared width),
+ * @p shift_by_constant marks a shift whose amount is a constant (pure
+ * wiring) and @p rom_entries is the ROM table size.
+ */
+CellCost combCellCost(ir::CombOp op, unsigned width, unsigned lhs_width,
+                      unsigned rhs_width, bool shift_by_constant,
+                      size_t rom_entries);
 
 class TechLibrary
 {
