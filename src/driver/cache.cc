@@ -359,7 +359,7 @@ compilerVersion()
 {
     // Bump on every change that can alter artifacts for unchanged
     // inputs (scheduler tweaks, codegen changes, diagnostics wording).
-    return "longnail-pr7";
+    return "longnail-8";
 }
 
 std::string

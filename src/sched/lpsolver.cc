@@ -1,10 +1,9 @@
 #include "sched/lpsolver.hh"
 
-#include <deque>
-#include <queue>
+#include <algorithm>
+#include <functional>
 #include <tuple>
-
-#include "support/logging.hh"
+#include <utility>
 
 namespace longnail {
 namespace sched {
@@ -14,109 +13,22 @@ namespace {
 constexpr int64_t infCapacity = int64_t(1) << 50;
 constexpr int64_t infDistance = int64_t(1) << 60;
 
-/** Min-cost-flow network with explicit reverse edges. */
-class FlowNetwork
-{
-  public:
-    explicit FlowNetwork(unsigned num_nodes) : adj_(num_nodes) {}
-
-    struct Edge
-    {
-        unsigned to;
-        int64_t capacity;
-        int64_t cost;
-        int64_t flow = 0;
-    };
-
-    unsigned
-    addEdge(unsigned from, unsigned to, int64_t capacity, int64_t cost)
-    {
-        unsigned id = edges_.size();
-        edges_.push_back({to, capacity, cost});
-        edges_.push_back({from, 0, -cost});
-        adj_[from].push_back(id);
-        adj_[to].push_back(id + 1);
-        return id;
-    }
-
-    int64_t residual(unsigned e) const
-    {
-        return edges_[e].capacity - edges_[e].flow;
-    }
-
-    void
-    push(unsigned e, int64_t amount)
-    {
-        edges_[e].flow += amount;
-        edges_[e ^ 1].flow -= amount;
-    }
-
-    const Edge &edge(unsigned e) const { return edges_[e]; }
-    const std::vector<unsigned> &outEdges(unsigned node) const
-    {
-        return adj_[node];
-    }
-    unsigned numNodes() const { return adj_.size(); }
-
-    /**
-     * SPFA shortest path from @p source by cost over residual edges.
-     * Adds one unit per queue pop to @p work.
-     * @return true if @p sink is reachable; fills @p prev_edge.
-     */
-    bool
-    shortestPath(unsigned source, unsigned sink,
-                 std::vector<unsigned> &prev_edge, uint64_t &work)
-    {
-        std::vector<int64_t> dist(numNodes(), infDistance);
-        std::vector<bool> in_queue(numNodes(), false);
-        prev_edge.assign(numNodes(), ~0u);
-        std::deque<unsigned> queue;
-        dist[source] = 0;
-        queue.push_back(source);
-        in_queue[source] = true;
-        while (!queue.empty()) {
-            unsigned u = queue.front();
-            queue.pop_front();
-            in_queue[u] = false;
-            ++work;
-            for (unsigned e : adj_[u]) {
-                if (residual(e) <= 0)
-                    continue;
-                unsigned v = edges_[e].to;
-                int64_t nd = dist[u] + edges_[e].cost;
-                if (nd < dist[v]) {
-                    dist[v] = nd;
-                    prev_edge[v] = e;
-                    if (!in_queue[v]) {
-                        queue.push_back(v);
-                        in_queue[v] = true;
-                    }
-                }
-            }
-        }
-        return dist[sink] < infDistance;
-    }
-
-  private:
-    std::vector<Edge> edges_;
-    std::vector<std::vector<unsigned>> adj_;
-};
-
 /**
  * Detect primal infeasibility: contradictory difference constraints
  * form a negative cycle in the shortest-path formulation. When the
- * check converges (no cycle), the final distances double as a feasible
- * point -- t_i = dist[i] - dist[ref] meets every constraint and bound
- * -- which is written to @p feasible_out for warm-starting re-solves.
+ * check converges (no cycle), @p dist holds shortest distances from a
+ * virtual root over nodes 0..n (n = the reference node); t_i =
+ * dist[i] - dist[n] is then a feasible point.
  */
 bool
 hasNegativeCycle(const DifferenceLP &lp, uint64_t &work,
-                 std::vector<int> *feasible_out = nullptr)
+                 std::vector<int64_t> &dist)
 {
     unsigned n = lp.numVars();
     unsigned ref = n;
     // Edges (u -> v, weight) meaning d_v <= d_u + weight.
     std::vector<std::tuple<unsigned, unsigned, int64_t>> edges;
+    edges.reserve(lp.constraints.size() + 2 * n);
     for (const auto &c : lp.constraints)
         edges.emplace_back(c.j, c.i, -int64_t(c.c));
     for (unsigned i = 0; i < n; ++i) {
@@ -124,69 +36,281 @@ hasNegativeCycle(const DifferenceLP &lp, uint64_t &work,
         if (lp.upper[i] != DifferenceLP::unbounded)
             edges.emplace_back(ref, i, int64_t(lp.upper[i]));
     }
-    std::vector<int64_t> dist(n + 1, 0); // virtual source to all
+    dist.assign(n + 1, 0); // virtual source to all
     for (unsigned iter = 0; iter <= n + 1; ++iter) {
         bool changed = false;
         ++work;
-        for (const auto &[u, v, w] : edges) {
+        // Constraints usually arrive in topological order and their
+        // edges point against it, so a reverse sweep settles the
+        // constraint edges of a DAG in one round.
+        for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+            const auto &[u, v, w] = *it;
             if (dist[u] + w < dist[v]) {
                 dist[v] = dist[u] + w;
                 changed = true;
             }
         }
-        if (!changed) {
-            if (feasible_out) {
-                feasible_out->resize(n);
-                for (unsigned i = 0; i < n; ++i)
-                    (*feasible_out)[i] = int(dist[i] - dist[ref]);
-            }
+        if (!changed)
             return false;
-        }
     }
     return true;
 }
 
-/** Does @p t satisfy every constraint and bound of @p lp? */
-bool
-isFeasiblePoint(const DifferenceLP &lp, const std::vector<int> &t)
+/**
+ * Primal-dual min-cost flow over a residual network in compressed
+ * adjacency form. Edge e and e ^ 1 are an arc and its reverse. Every
+ * buffer is sized once per solve and reused across phases.
+ */
+class PrimalDual
 {
-    for (unsigned i = 0; i < lp.numVars(); ++i) {
-        if (t[i] < lp.lower[i])
-            return false;
-        if (lp.upper[i] != DifferenceLP::unbounded && t[i] > lp.upper[i])
-            return false;
+  public:
+    PrimalDual(unsigned num_nodes, size_t num_arcs, uint64_t &work)
+        : pot_(num_nodes, 0), first_(num_nodes + 1, 0), work_(work)
+    {
+        head_.reserve(2 * num_arcs);
+        res_.reserve(2 * num_arcs);
+        cost_.reserve(2 * num_arcs);
     }
-    for (const auto &c : lp.constraints)
-        if (int64_t(t[c.j]) - int64_t(t[c.i]) < int64_t(c.c))
+
+    void
+    addArc(unsigned from, unsigned to, int64_t capacity, int64_t cost)
+    {
+        head_.push_back(to);
+        res_.push_back(capacity);
+        cost_.push_back(cost);
+        head_.push_back(from);
+        res_.push_back(0);
+        cost_.push_back(-cost);
+    }
+
+    /** Build the adjacency index and size the per-phase buffers. */
+    void
+    finalize()
+    {
+        unsigned num_nodes = pot_.size();
+        for (unsigned e = 0; e < head_.size(); ++e)
+            ++first_[tail(e) + 1];
+        for (unsigned v = 0; v < num_nodes; ++v)
+            first_[v + 1] += first_[v];
+        adj_.resize(head_.size());
+        std::vector<unsigned> fill(first_.begin(), first_.end() - 1);
+        for (unsigned e = 0; e < head_.size(); ++e)
+            adj_[fill[tail(e)]++] = e;
+        dist_.resize(num_nodes);
+        level_.resize(num_nodes);
+        cur_.resize(num_nodes);
+        heap_.reserve(num_nodes);
+        queue_.reserve(num_nodes);
+    }
+
+    std::vector<int64_t> &potentials() { return pot_; }
+
+    /**
+     * One Dijkstra from @p source on reduced costs; raises every
+     * potential by its distance capped at the sink's, which keeps all
+     * residual reduced costs non-negative and makes the shortest
+     * source-sink paths zero-reduced-cost.
+     * @return false if @p sink is unreachable.
+     */
+    bool
+    dijkstra(unsigned source, unsigned sink)
+    {
+        std::fill(dist_.begin(), dist_.end(), infDistance);
+        heap_.clear();
+        dist_[source] = 0;
+        heap_.emplace_back(0, source);
+        settle(dist_, head_.size());
+        int64_t cap = dist_[sink];
+        if (cap >= infDistance)
             return false;
-    return true;
-}
+        for (unsigned v = 0; v < pot_.size(); ++v)
+            pot_[v] += std::min(dist_[v], cap);
+        return true;
+    }
+
+    /**
+     * BFS levels from @p source over the admissible (residual,
+     * zero-reduced-cost) arcs.
+     * @return true if @p sink is reachable.
+     */
+    bool
+    buildLevels(unsigned source, unsigned sink)
+    {
+        std::fill(level_.begin(), level_.end(), -1);
+        queue_.clear();
+        level_[source] = 0;
+        queue_.push_back(source);
+        for (size_t q = 0; q < queue_.size(); ++q) {
+            unsigned u = queue_[q];
+            // Arcs out of the sink's level cannot lie on a shortest
+            // augmenting path.
+            if (level_[sink] >= 0 && level_[u] >= level_[sink])
+                break;
+            for (unsigned s = first_[u]; s < first_[u + 1]; ++s) {
+                unsigned e = adj_[s];
+                if (!admissible(u, e))
+                    continue;
+                ++work_;
+                unsigned v = head_[e];
+                if (level_[v] < 0) {
+                    level_[v] = level_[u] + 1;
+                    queue_.push_back(v);
+                }
+            }
+        }
+        return level_[sink] >= 0;
+    }
+
+    /**
+     * Dinic blocking flow over the level graph: iterative DFS with
+     * current-arc pointers, so the depth is not bounded by the stack.
+     * @return the amount routed; @p augmentations counts the paths.
+     */
+    int64_t
+    blockingFlow(unsigned source, unsigned sink, uint64_t &augmentations)
+    {
+        std::copy(first_.begin(), first_.end() - 1, cur_.begin());
+        path_.clear();
+        int64_t routed = 0;
+        unsigned u = source;
+        for (;;) {
+            if (u == sink) {
+                int64_t bottleneck = infDistance;
+                for (unsigned e : path_)
+                    bottleneck = std::min(bottleneck, res_[e]);
+                for (unsigned e : path_) {
+                    res_[e] -= bottleneck;
+                    res_[e ^ 1] += bottleneck;
+                }
+                routed += bottleneck;
+                ++augmentations;
+                // Retreat to the tail of the first saturated arc.
+                size_t k = 0;
+                while (res_[path_[k]] > 0)
+                    ++k;
+                u = tail(path_[k]);
+                path_.resize(k);
+                continue;
+            }
+            bool advanced = false;
+            for (; cur_[u] < first_[u + 1]; ++cur_[u]) {
+                unsigned e = adj_[cur_[u]];
+                if (!admissible(u, e))
+                    continue;
+                ++work_;
+                if (level_[head_[e]] != level_[u] + 1)
+                    continue;
+                path_.push_back(e);
+                u = head_[e];
+                advanced = true;
+                break;
+            }
+            if (advanced)
+                continue;
+            // Dead end: prune u from the level graph and back off.
+            level_[u] = -1;
+            if (path_.empty())
+                break;
+            u = tail(path_.back());
+            path_.pop_back();
+            ++cur_[u];
+        }
+        return routed;
+    }
+
+    /**
+     * Shortest distances from a virtual root (zero-cost arcs to every
+     * node below @p num_nodes) over the residual arcs with ids below
+     * @p num_arc_ids, by multi-source Dijkstra on reduced costs.
+     */
+    std::vector<int64_t>
+    rootDistances(unsigned num_nodes, unsigned num_arc_ids)
+    {
+        // key[v] = D[v] - pot[v]; the root arcs seed key[v] = -pot[v].
+        std::vector<int64_t> key(num_nodes);
+        heap_.clear();
+        for (unsigned v = 0; v < num_nodes; ++v) {
+            key[v] = -pot_[v];
+            heap_.emplace_back(key[v], v);
+        }
+        std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
+        settle(key, num_arc_ids);
+        for (unsigned v = 0; v < num_nodes; ++v)
+            key[v] += pot_[v];
+        return key;
+    }
+
+  private:
+    /**
+     * Dijkstra on reduced costs from the labels in @p dist and the
+     * entries already on the heap, over residual arcs with ids below
+     * @p num_arc_ids.
+     */
+    void
+    settle(std::vector<int64_t> &dist, unsigned num_arc_ids)
+    {
+        while (!heap_.empty()) {
+            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+            auto [d, u] = heap_.back();
+            heap_.pop_back();
+            ++work_;
+            if (d > dist[u])
+                continue;
+            for (unsigned s = first_[u]; s < first_[u + 1]; ++s) {
+                unsigned e = adj_[s];
+                if (e >= num_arc_ids || res_[e] <= 0)
+                    continue;
+                unsigned v = head_[e];
+                int64_t nd = d + reducedCost(u, e);
+                if (nd < dist[v]) {
+                    dist[v] = nd;
+                    heap_.emplace_back(nd, v);
+                    std::push_heap(heap_.begin(), heap_.end(),
+                                   std::greater<>());
+                }
+            }
+        }
+    }
+
+    unsigned tail(unsigned e) const { return head_[e ^ 1]; }
+    int64_t
+    reducedCost(unsigned u, unsigned e) const
+    {
+        return cost_[e] + pot_[u] - pot_[head_[e]];
+    }
+    bool
+    admissible(unsigned u, unsigned e) const
+    {
+        return res_[e] > 0 && reducedCost(u, e) == 0;
+    }
+
+    std::vector<unsigned> head_;
+    std::vector<int64_t> res_;
+    std::vector<int64_t> cost_;
+    std::vector<int64_t> pot_;
+    std::vector<unsigned> first_;
+    std::vector<unsigned> adj_;
+
+    std::vector<int64_t> dist_;
+    std::vector<std::pair<int64_t, unsigned>> heap_;
+    std::vector<int> level_;
+    std::vector<unsigned> queue_;
+    std::vector<unsigned> cur_;
+    std::vector<unsigned> path_;
+    uint64_t &work_;
+};
 
 } // namespace
 
 LPResult
-solveDifferenceLP(const DifferenceLP &lp, uint64_t work_limit,
-                  const std::vector<int> *warm_start)
+solveDifferenceLP(const DifferenceLP &lp, uint64_t work_limit)
 {
     LPResult result;
     auto over_budget = [&]() {
         return work_limit != 0 && result.workUnits > work_limit;
     };
-    // Feasibility. A valid warm-start hint is a witness that settles it
-    // in one validation pass; otherwise (or when the hint turns out to
-    // be stale) fall back to the Bellman-Ford negative-cycle check,
-    // whose converged distances yield a feasible point of our own.
-    bool feasible_known = false;
-    if (warm_start && warm_start->size() == lp.numVars()) {
-        ++result.workUnits;
-        if (isFeasiblePoint(lp, *warm_start)) {
-            result.feasiblePoint = *warm_start;
-            result.warmStarted = true;
-            feasible_known = true;
-        }
-    }
-    if (!feasible_known &&
-        hasNegativeCycle(lp, result.workUnits, &result.feasiblePoint)) {
+    std::vector<int64_t> feasible;
+    if (hasNegativeCycle(lp, result.workUnits, feasible)) {
         result.status = LPResult::Status::Infeasible;
         return result;
     }
@@ -199,20 +323,21 @@ solveDifferenceLP(const DifferenceLP &lp, uint64_t work_limit,
     unsigned ref = n;
     unsigned source = n + 1;
     unsigned sink = n + 2;
-    FlowNetwork net(n + 3);
+    PrimalDual net(n + 3, lp.constraints.size() + 3 * size_t(n) + 1,
+                   result.workUnits);
 
-    // Dual flow edges. A primal constraint t_j - t_i >= c becomes a
-    // flow edge i -> j with cost -c (we maximize sum c*y).
+    // Dual flow arcs. A primal constraint t_j - t_i >= c becomes a
+    // flow arc i -> j with cost -c (we maximize sum c*y).
     unsigned num_structural = 0;
     for (const auto &c : lp.constraints) {
-        net.addEdge(c.i, c.j, infCapacity, -int64_t(c.c));
+        net.addArc(c.i, c.j, infCapacity, -int64_t(c.c));
         ++num_structural;
     }
     for (unsigned i = 0; i < n; ++i) {
-        net.addEdge(ref, i, infCapacity, -int64_t(lp.lower[i]));
+        net.addArc(ref, i, infCapacity, -int64_t(lp.lower[i]));
         ++num_structural;
         if (lp.upper[i] != DifferenceLP::unbounded) {
-            net.addEdge(i, ref, infCapacity, int64_t(lp.upper[i]));
+            net.addArc(i, ref, infCapacity, int64_t(lp.upper[i]));
             ++num_structural;
         }
     }
@@ -224,22 +349,35 @@ solveDifferenceLP(const DifferenceLP &lp, uint64_t work_limit,
     int64_t total_supply = 0;
     auto add_balance = [&](unsigned node, int64_t w) {
         if (w > 0) {
-            net.addEdge(node, sink, w, 0);
+            net.addArc(node, sink, w, 0);
         } else if (w < 0) {
-            net.addEdge(source, node, -w, 0);
+            net.addArc(source, node, -w, 0);
             total_supply += -w;
         }
     };
     for (unsigned i = 0; i < n; ++i)
         add_balance(i, lp.weights[i]);
     add_balance(ref, ref_weight);
+    net.finalize();
 
-    // Successive shortest paths.
+    // Initial potentials p = -t at the feasibility point: every
+    // structural arc then has a non-negative reduced cost. The source
+    // sits above and the sink below every other node.
+    std::vector<int64_t> &pot = net.potentials();
+    int64_t hi = 0;
+    int64_t lo = 0;
+    for (unsigned v = 0; v <= n; ++v) {
+        pot[v] = feasible[ref] - feasible[v];
+        hi = std::max(hi, pot[v]);
+        lo = std::min(lo, pot[v]);
+    }
+    pot[source] = hi;
+    pot[sink] = lo;
+
     int64_t routed = 0;
-    std::vector<unsigned> prev_edge;
     while (routed < total_supply) {
-        if (!net.shortestPath(source, sink, prev_edge,
-                              result.workUnits)) {
+        ++result.phases;
+        if (!net.dijkstra(source, sink)) {
             result.status = LPResult::Status::Unbounded;
             return result;
         }
@@ -247,47 +385,28 @@ solveDifferenceLP(const DifferenceLP &lp, uint64_t work_limit,
             result.status = LPResult::Status::BudgetExhausted;
             return result;
         }
-        // Bottleneck along the path.
-        int64_t bottleneck = total_supply - routed;
-        for (unsigned v = sink; v != source;
-             v = net.edge(prev_edge[v] ^ 1).to)
-            bottleneck = std::min(bottleneck,
-                                  net.residual(prev_edge[v]));
-        for (unsigned v = sink; v != source;
-             v = net.edge(prev_edge[v] ^ 1).to)
-            net.push(prev_edge[v], bottleneck);
-        routed += bottleneck;
-    }
-
-    // Recover the primal solution from residual-network potentials:
-    // Bellman-Ford over the residual structural edges (virtual root).
-    std::vector<int64_t> dist(n + 1, 0);
-    for (unsigned iter = 0; iter <= n + 1; ++iter) {
-        bool changed = false;
-        for (unsigned e = 0; e < num_structural * 2; ++e) {
-            if (net.residual(e) <= 0)
-                continue;
-            unsigned u = net.edge(e ^ 1).to;
-            unsigned v = net.edge(e).to;
-            if (u > n || v > n)
-                continue;
-            if (dist[u] + net.edge(e).cost < dist[v]) {
-                dist[v] = dist[u] + net.edge(e).cost;
-                changed = true;
+        while (net.buildLevels(source, sink)) {
+            routed += net.blockingFlow(source, sink, result.augmentations);
+            if (over_budget()) {
+                result.status = LPResult::Status::BudgetExhausted;
+                return result;
             }
         }
-        if (!changed)
-            break;
-        if (iter == n + 1)
-            LN_PANIC("negative cycle in optimal residual network");
     }
 
+    // Recover the primal solution: shortest distances from a virtual
+    // root over the residual structural arcs. The final potentials make
+    // their reduced costs non-negative, so Dijkstra suffices. The set of
+    // optimal duals does not depend on which optimal flow was found, so
+    // neither does this point.
+    std::vector<int64_t> dist = net.rootDistances(n + 1,
+                                                  2 * num_structural);
     result.status = LPResult::Status::Optimal;
     result.values.resize(n);
     result.objective = 0;
     for (unsigned i = 0; i < n; ++i) {
-        // Costs on edge i->j are -c; potentials satisfy
-        // d_j <= d_i - c, i.e. t = -d meets t_j - t_i >= c.
+        // Costs on arc i->j are -c; distances satisfy d_j <= d_i - c,
+        // i.e. t = -d meets t_j - t_i >= c.
         result.values[i] = int(dist[ref] - dist[i]);
         result.objective += lp.weights[i] * result.values[i];
     }

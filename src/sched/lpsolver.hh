@@ -13,9 +13,11 @@
  * same optima CBC would for the ILP (see DESIGN.md).
  *
  * Implementation: LP duality turns the problem into an uncapacitated
- * min-cost flow with node supplies, solved by successive shortest
- * paths; the optimal primal values are recovered from the potentials
- * of the final residual network.
+ * min-cost flow with node supplies, solved primal-dual. The potentials
+ * start at the Bellman-Ford feasibility point; each phase runs one
+ * Dijkstra on reduced costs and then Dinic blocking flows over the
+ * zero-reduced-cost residual subgraph. The optimal primal values are
+ * recovered from the potentials of the final residual network.
  */
 
 #ifndef LONGNAIL_SCHED_LPSOLVER_HH
@@ -67,17 +69,16 @@ struct LPResult
     Status status = Status::Infeasible;
     std::vector<int> values;
     int64_t objective = 0;
-    /** Deterministic work units spent (queue pops / edge relaxations). */
-    uint64_t workUnits = 0;
     /**
-     * A (generally non-optimal) point satisfying every constraint and
-     * bound, available whenever feasibility was established -- even on
-     * BudgetExhausted. Callers re-solving a related instance (e.g. the
-     * scheduler fallback chain) pass it back as @p warm_start.
+     * Deterministic work units spent: one per Bellman-Ford feasibility
+     * round, per Dijkstra heap pop and per admissible-arc scan of the
+     * blocking flows.
      */
-    std::vector<int> feasiblePoint;
-    /** True when @p warm_start was accepted as a feasibility witness. */
-    bool warmStarted = false;
+    uint64_t workUnits = 0;
+    /** Primal-dual phases run (one Dijkstra each). */
+    uint64_t phases = 0;
+    /** Augmenting paths routed by the blocking flows. */
+    uint64_t augmentations = 0;
 };
 
 /**
@@ -85,18 +86,13 @@ struct LPResult
  * work counter (0 = unlimited); when the limit is hit the result status
  * is BudgetExhausted and no values are produced, letting callers fall
  * back to a heuristic scheduler instead of waiting on a pathological
- * instance.
- *
- * @p warm_start, when non-null and feasible for @p lp, serves as a
- * feasibility witness: the up-to-(n+2)-iteration Bellman-Ford
- * negative-cycle check is replaced by a single validation pass (one
- * work unit), cutting the work spent on re-solves of closely related
- * instances. An infeasible or wrongly-sized hint is ignored (the full
- * check runs as usual); correctness never depends on the hint.
+ * instance. The limit is polled after the feasibility check, after
+ * every Dijkstra and after every blocking flow, so a solve overruns it
+ * by at most one such step; the final primal-recovery Dijkstra is
+ * counted but not polled.
  */
 LPResult solveDifferenceLP(const DifferenceLP &lp,
-                           uint64_t work_limit = 0,
-                           const std::vector<int> *warm_start = nullptr);
+                           uint64_t work_limit = 0);
 
 } // namespace sched
 } // namespace longnail

@@ -118,7 +118,7 @@ TEST(Verifier, CombIcmpRequiresEqualOperandWidths)
 TEST(Verifier, DetectsDialectMixing)
 {
     Graph g;
-    Operation *a = hwConstant(g, 8, 3);
+    (void)hwConstant(g, 8, 3);
     Operation *b = g.append(OpKind::CombConstant, {}, {WireType(8)});
     b->setAttr("value", ApInt(8, 4));
     auto issues = verifyGraph(g);

@@ -3,8 +3,8 @@
  * Tests for parallel batch compilation (docs/batch-compilation.md):
  * the work-stealing thread pool, jobs-count determinism, the
  * content-addressed artifact cache (hit/miss/invalidation, fail-soft
- * corruption handling, the `cache` failpoint), and the LP warm-start
- * used on the scheduler fallback path.
+ * corruption handling, the `cache` failpoint), and the schedule the
+ * fallback path produces under a tiny LP budget.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 #include "driver/batch.hh"
 #include "driver/isax_catalog.hh"
-#include "sched/lpsolver.hh"
 #include "sched/scheduler.hh"
 #include "support/failpoint.hh"
 #include "support/threadpool.hh"
@@ -429,52 +428,10 @@ TEST(SharedInputs, MemoizesDatasheetAndTechlib)
 }
 
 // ---------------------------------------------------------------------------
-// LP warm-starts
+// Scheduler fallback
 // ---------------------------------------------------------------------------
 
-TEST(WarmStart, FeasibleHintSkipsBellmanFord)
-{
-    // t1 >= t0 + 2, t2 >= t1 + 3, minimize the sum.
-    sched::DifferenceLP lp(3);
-    lp.weights = {1, 1, 1};
-    lp.addConstraint(0, 1, 2);
-    lp.addConstraint(1, 2, 3);
-
-    sched::LPResult cold = sched::solveDifferenceLP(lp);
-    ASSERT_EQ(cold.status, sched::LPResult::Status::Optimal);
-    EXPECT_FALSE(cold.warmStarted);
-    ASSERT_EQ(cold.feasiblePoint.size(), 3u);
-
-    sched::LPResult warm =
-        sched::solveDifferenceLP(lp, 0, &cold.feasiblePoint);
-    ASSERT_EQ(warm.status, sched::LPResult::Status::Optimal);
-    EXPECT_TRUE(warm.warmStarted);
-    EXPECT_EQ(warm.values, cold.values);
-    EXPECT_EQ(warm.objective, cold.objective);
-    // Validating the hint costs one work unit and replaces the
-    // Bellman-Ford feasibility pass.
-    EXPECT_LT(warm.workUnits, cold.workUnits);
-}
-
-TEST(WarmStart, InfeasibleHintIsIgnored)
-{
-    sched::DifferenceLP lp(2);
-    lp.weights = {1, 1};
-    lp.addConstraint(0, 1, 5);
-
-    std::vector<int> bogus = {0, 0}; // violates t1 >= t0 + 5
-    sched::LPResult r = sched::solveDifferenceLP(lp, 0, &bogus);
-    ASSERT_EQ(r.status, sched::LPResult::Status::Optimal);
-    EXPECT_FALSE(r.warmStarted);
-    EXPECT_EQ(r.values[1] - r.values[0], 5);
-
-    std::vector<int> wrong_size = {0};
-    r = sched::solveDifferenceLP(lp, 0, &wrong_size);
-    ASSERT_EQ(r.status, sched::LPResult::Status::Optimal);
-    EXPECT_FALSE(r.warmStarted);
-}
-
-TEST(WarmStart, AsapLPMatchesListAsap)
+TEST(FallbackChain, BudgetFallbackMatchesListAsap)
 {
     using namespace longnail::sched;
     auto build = [] {
@@ -498,23 +455,16 @@ TEST(WarmStart, AsapLPMatchesListAsap)
 
     LongnailProblem list = build();
     ASSERT_EQ(scheduleAsap(list), "");
-    LongnailProblem lp = build();
-    ASSERT_EQ(scheduleAsapLP(lp), "");
-    for (size_t i = 0; i < list.numOperations(); ++i)
-        EXPECT_EQ(list.operation(i).startTime, lp.operation(i).startTime)
-            << "operation " << i;
-
-    // Warm-started from the optimal attempt's feasible point, the LP
-    // path still lands on the identical least solution.
-    LongnailProblem opt = build();
-    std::vector<int> warm;
-    ASSERT_EQ(scheduleOptimal(opt, 0, nullptr, &warm), "");
-    ASSERT_FALSE(warm.empty());
-    LongnailProblem warmed = build();
-    ASSERT_EQ(scheduleAsapLP(warmed, true, &warm), "");
+    // A one-unit LP budget forces the fallback chain.
+    LongnailProblem fallback = build();
+    ScheduleBudget budget;
+    budget.lpWorkLimit = 1;
+    ScheduleOutcome outcome = scheduleWithFallback(fallback, budget);
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+    EXPECT_EQ(outcome.quality, ScheduleQuality::Fallback);
     for (size_t i = 0; i < list.numOperations(); ++i)
         EXPECT_EQ(list.operation(i).startTime,
-                  warmed.operation(i).startTime)
+                  fallback.operation(i).startTime)
             << "operation " << i;
 }
 

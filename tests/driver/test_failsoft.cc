@@ -168,6 +168,61 @@ TEST_F(FailsoftTest, FallbackScheduleMatchesGoldenModel)
     EXPECT_EQ(core.reg(12), 2u);
 }
 
+/**
+ * A budget of half the unit's unlimited LP work runs out inside the
+ * solver's phase loop, past the feasibility check; the fallback RTL
+ * must still compute what the golden model does.
+ */
+TEST_F(FailsoftTest, HalfLpBudgetFallsBackMidSolve)
+{
+    CompileOptions options;
+    options.coreName = "VexRiscv";
+    CompiledIsax unlimited = compileCatalogIsax("sqrt_tightly", options);
+    ASSERT_TRUE(unlimited.ok()) << unlimited.errors;
+    ASSERT_EQ(unlimited.units.size(), 1u);
+    ASSERT_EQ(unlimited.units[0].quality,
+              sched::ScheduleQuality::Optimal);
+    uint64_t full = unlimited.units[0].lpWorkUnits;
+
+    options.schedBudget.lpWorkLimit = full / 2;
+    CompiledIsax compiled = compileCatalogIsax("sqrt_tightly", options);
+    ASSERT_TRUE(compiled.ok()) << compiled.errors;
+    ASSERT_EQ(compiled.units.size(), 1u);
+    EXPECT_EQ(compiled.units[0].quality,
+              sched::ScheduleQuality::Fallback);
+    EXPECT_NE(compiled.units[0].fallbackReason.find("budget"),
+              std::string::npos);
+    // Abandoned between the limit and the full solve's work.
+    EXPECT_GT(compiled.units[0].lpWorkUnits, full / 2);
+    EXPECT_LT(compiled.units[0].lpWorkUnits, full);
+
+    rvasm::Assembler as;
+    registerIsaxMnemonics(as, *compiled.isa);
+    rvasm::Program program = as.assemble(R"(
+        li a0, 144
+        sqrt a1, a0
+        li a2, 0x00100000   # 16.0 in Q16.16
+        sqrt a3, a2
+        add a4, a1, a3
+        ecall
+    )");
+    ASSERT_TRUE(program.ok) << program.error;
+
+    cores::Core core(scaiev::Datasheet::forCore("VexRiscv"), {});
+    core.attachIsax(compiled.makeBundle());
+    core.loadProgram(program.words, 0);
+    GoldenModel golden(compiled);
+    golden.loadProgram(program.words, 0);
+
+    cores::RunStats stats = core.run();
+    golden.run();
+    ASSERT_TRUE(stats.halted);
+    for (unsigned r = 0; r < 32; ++r)
+        EXPECT_EQ(core.reg(r), golden.reg(r)) << "x" << r;
+    // sqrt(144) = 12.0 in Q16.16.
+    EXPECT_EQ(core.reg(11), 12u << 16);
+}
+
 // ---------------------------------------------------------------------------
 // Transient faults and the retry wrapper
 // ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
  * @file
  * Tests for the difference-constraint LP solver, including a
  * brute-force cross-check on randomized small instances (the solver
- * must return the exact ILP optimum, standing in for CBC).
+ * must return the exact ILP optimum, standing in for CBC) and a
+ * differential check against the successive-shortest-paths oracle on
+ * schedule-shaped instances (the identical point, not only the
+ * objective).
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +13,7 @@
 #include <random>
 
 #include "sched/lpsolver.hh"
+#include "ssp_oracle.hh"
 
 using namespace longnail::sched;
 
@@ -167,3 +171,109 @@ TEST_P(LpRandomProperty, MatchesBruteForce)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpRandomProperty,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u));
+
+namespace {
+
+/**
+ * A random instance shaped like scheduleOptimal()'s LPs: forward
+ * dependences with small latencies, +1 chain-breaker-style edges that
+ * leave the weights alone, interface windows with occasional upper
+ * bounds, and weights scaled w*1024-1. Most weights follow Fig. 7
+ * (1 + indeg - outdeg); some instances draw them at random so that
+ * unbounded LPs occur too.
+ */
+DifferenceLP
+randomScheduleLP(std::mt19937 &rng, unsigned n)
+{
+    DifferenceLP lp(n);
+    std::vector<int64_t> w(n, 1);
+    for (unsigned i = 0; i < n; ++i)
+        lp.lower[i] = rng() % 4 == 0 ? int(rng() % 4) : 0;
+    unsigned edges = n + rng() % (2 * n);
+    for (unsigned e = 0; e < edges; ++e) {
+        unsigned j = 1 + rng() % (n - 1);
+        unsigned i = rng() % j;
+        int latency = rng() % 3 == 0 ? int(1 + rng() % 3) : 0;
+        lp.addConstraint(i, j, latency);
+        ++w[j];
+        --w[i];
+        if (rng() % 6 == 0)
+            lp.addConstraint(i, j, latency + 1);
+    }
+    // Upper bounds a little above the earliest feasible time. In one
+    // instance of six, one variable gets a bound one step too tight,
+    // which makes the instance infeasible.
+    std::vector<int> asap(lp.lower);
+    for (unsigned round = 0; round < n; ++round)
+        for (const auto &c : lp.constraints)
+            asap[c.j] = std::max(asap[c.j], asap[c.i] + c.c);
+    for (unsigned i = 0; i < n; ++i)
+        if (rng() % 5 == 0)
+            lp.upper[i] = asap[i] + int(rng() % 4);
+    if (rng() % 6 == 0) {
+        unsigned i = rng() % n;
+        lp.upper[i] = asap[i] - 1;
+    }
+    bool random_weights = rng() % 4 == 0;
+    for (unsigned i = 0; i < n; ++i) {
+        int64_t wi = random_weights ? int64_t(rng() % 7) - 3 : w[i];
+        lp.weights[i] = wi * 1024 - 1;
+    }
+    return lp;
+}
+
+} // namespace
+
+class LpDifferential : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(LpDifferential, MatchesSuccessiveShortestPaths)
+{
+    std::mt19937 rng(7000 + GetParam());
+    unsigned seen[4] = {0, 0, 0, 0};
+    for (int instance = 0; instance < 40; ++instance) {
+        unsigned n = 2 + rng() % 199; // 2..200 variables
+        DifferenceLP lp = randomScheduleLP(rng, n);
+        LPResult want = oracle::solveDifferenceLPBySsp(lp);
+        LPResult got = solveDifferenceLP(lp);
+        ASSERT_EQ(got.status, want.status)
+            << "instance " << instance << " (" << n << " vars)";
+        ++seen[unsigned(got.status)];
+        EXPECT_EQ(got.values, want.values)
+            << "instance " << instance << " (" << n << " vars)";
+        EXPECT_EQ(got.objective, want.objective)
+            << "instance " << instance << " (" << n << " vars)";
+    }
+    // The generator must exercise the optimal and the infeasible path.
+    EXPECT_GT(seen[unsigned(LPResult::Status::Optimal)], 10u);
+    EXPECT_GT(seen[unsigned(LPResult::Status::Infeasible)], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LpDifferential,
+                         ::testing::Values(0u, 1u, 2u, 3u, 4u, 5u, 6u,
+                                           7u));
+
+TEST(LpSolver, LongChainRoutesOneDeepPath)
+{
+    // Minimize t_last - t_0 over a 200k-variable chain: the only
+    // augmenting path runs through every chain arc, so a DFS that
+    // recursed once per arc would need 200k stack frames.
+    constexpr unsigned n = 200000;
+    DifferenceLP lp(n);
+    for (unsigned i = 0; i + 1 < n; ++i)
+        lp.addConstraint(i, i + 1, int(1 + i % 3));
+    lp.weights[0] = -1;
+    lp.weights[n - 1] = 1;
+    LPResult r = solveDifferenceLP(lp);
+    ASSERT_EQ(r.status, LPResult::Status::Optimal);
+    EXPECT_EQ(r.augmentations, 1u);
+    // The recovered point is the least one: every variable at the
+    // prefix sum of the latencies before it.
+    int64_t prefix = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        ASSERT_EQ(r.values[i], prefix) << "variable " << i;
+        prefix += 1 + i % 3;
+    }
+    EXPECT_EQ(r.objective, r.values[n - 1]);
+}
