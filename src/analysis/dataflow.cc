@@ -441,7 +441,7 @@ RangeLattice::transfer(const Operation &op,
     return {out};
 }
 
-std::map<const Value *, ValueRange>
+ValueStates<ValueRange>
 computeRanges(const ir::Graph &graph)
 {
     RangeLattice lattice;
@@ -644,7 +644,7 @@ DemandedBitsLattice::transferBackward(
     }
 }
 
-std::map<const Value *, DemandedBits>
+ValueStates<DemandedBits>
 computeDemandedBits(const ir::Graph &graph)
 {
     DemandedBitsLattice lattice;

@@ -26,10 +26,12 @@
 #ifndef LONGNAIL_ANALYSIS_DATAFLOW_HH
 #define LONGNAIL_ANALYSIS_DATAFLOW_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "ir/ir.hh"
@@ -97,8 +99,52 @@ class Lattice
 };
 
 /**
+ * The final per-value states of a dataflow run, sorted by value
+ * address and looked up with a map-like find(). A value without an
+ * entry is at top: forward runs record every transferred result,
+ * backward runs only demands that left top.
+ */
+template <typename State>
+class ValueStates
+{
+  public:
+    using Entry = std::pair<const ir::Value *, State>;
+    using const_iterator = typename std::vector<Entry>::const_iterator;
+
+    explicit ValueStates(std::vector<Entry> entries)
+        : entries_(std::move(entries))
+    {}
+
+    const_iterator begin() const { return entries_.begin(); }
+    const_iterator end() const { return entries_.end(); }
+    size_t size() const { return entries_.size(); }
+
+    const_iterator
+    find(const ir::Value *v) const
+    {
+        auto it = std::lower_bound(
+            entries_.begin(), entries_.end(), v,
+            [](const Entry &e, const ir::Value *key) {
+                return std::less<const ir::Value *>()(e.first, key);
+            });
+        return it != entries_.end() && it->first == v ? it
+                                                      : entries_.end();
+    }
+
+  private:
+    std::vector<Entry> entries_;
+};
+
+/**
  * Runs a lattice to fixpoint over one graph (including spawn
  * subgraphs) and returns the final per-value states.
+ *
+ * Each run numbers its ops (graph order, a spawn subgraph right after
+ * its op) and the values they define or read (slots, in address
+ * order), so operand/result slots, user and def lists and the states
+ * themselves live in flat vectors. The worklist is a heap of op
+ * indices plus queued flags that pops the lowest index going forward
+ * and the highest going backward.
  */
 template <typename State>
 class SparseDataflow
@@ -108,134 +154,212 @@ class SparseDataflow
         : lattice_(lattice), direction_(direction)
     {}
 
-    std::map<const ir::Value *, State>
+    ValueStates<State>
     run(const ir::Graph &graph)
     {
-        ops_.clear();
-        collect(graph);
-        return direction_ == Direction::Forward ? runForward()
-                                                : runBackward();
+        number(graph);
+        if (direction_ == Direction::Forward)
+            runForward();
+        else
+            runBackward();
+
+        std::vector<typename ValueStates<State>::Entry> entries;
+        for (size_t s = 0; s < values_.size(); ++s)
+            if (states_[s])
+                entries.emplace_back(values_[s], std::move(*states_[s]));
+        return ValueStates<State>(std::move(entries));
     }
 
   private:
-    std::map<const ir::Value *, State>
-    runForward()
-    {
-        // Map each value to the op indices using it, so only affected
-        // transfers re-run after a state change.
-        std::map<const ir::Value *, std::vector<size_t>> users;
-        for (size_t i = 0; i < ops_.size(); ++i)
-            for (const ir::Value *v : ops_[i]->operands())
-                users[v].push_back(i);
+    static constexpr uint32_t noDef = UINT32_MAX;
 
-        std::map<const ir::Value *, State> states;
-        auto stateOf = [&](const ir::Value *v) -> State {
-            auto it = states.find(v);
-            if (it != states.end())
-                return it->second;
-            return lattice_.top(*v);
+    /** Pending op indices; Before orders the heap (std::greater pops
+     * the lowest index, std::less the highest). */
+    template <typename Before>
+    class Worklist
+    {
+      public:
+        /** Queue every op. */
+        explicit Worklist(size_t num_ops) : queued_(num_ops, 1)
+        {
+            heap_.resize(num_ops);
+            for (size_t i = 0; i < num_ops; ++i)
+                heap_[i] = uint32_t(i);
+            std::make_heap(heap_.begin(), heap_.end(), Before());
+        }
+
+        bool empty() const { return heap_.empty(); }
+
+        void
+        push(uint32_t idx)
+        {
+            if (queued_[idx])
+                return;
+            queued_[idx] = 1;
+            heap_.push_back(idx);
+            std::push_heap(heap_.begin(), heap_.end(), Before());
+        }
+
+        uint32_t
+        pop()
+        {
+            std::pop_heap(heap_.begin(), heap_.end(), Before());
+            uint32_t idx = heap_.back();
+            heap_.pop_back();
+            queued_[idx] = 0;
+            return idx;
+        }
+
+      private:
+        std::vector<uint32_t> heap_;
+        std::vector<char> queued_;
+    };
+
+    void
+    number(const ir::Graph &graph)
+    {
+        ops_.clear();
+        collect(graph);
+
+        values_.clear();
+        for (const ir::Operation *op : ops_) {
+            for (unsigned r = 0; r < op->numResults(); ++r)
+                values_.push_back(op->result(r));
+            for (const ir::Value *v : op->operands())
+                values_.push_back(v);
+        }
+        std::less<const ir::Value *> before;
+        std::sort(values_.begin(), values_.end(), before);
+        values_.erase(std::unique(values_.begin(), values_.end()),
+                      values_.end());
+        auto slotOf = [&](const ir::Value *v) {
+            return uint32_t(std::lower_bound(values_.begin(),
+                                             values_.end(), v, before) -
+                            values_.begin());
         };
 
-        // Ordered worklist keeps evaluation deterministic. Ops are
-        // seeded in graph order, so the first pass sees operand states
-        // already computed (def-before-use).
-        std::set<size_t> worklist;
-        for (size_t i = 0; i < ops_.size(); ++i)
-            worklist.insert(i);
+        operandBegin_.assign(1, 0);
+        operandSlots_.clear();
+        resultBegin_.assign(1, 0);
+        resultSlots_.clear();
+        def_.assign(values_.size(), noDef);
+        for (size_t i = 0; i < ops_.size(); ++i) {
+            for (const ir::Value *v : ops_[i]->operands())
+                operandSlots_.push_back(slotOf(v));
+            for (unsigned r = 0; r < ops_[i]->numResults(); ++r) {
+                uint32_t slot = slotOf(ops_[i]->result(r));
+                resultSlots_.push_back(slot);
+                def_[slot] = uint32_t(i);
+            }
+            operandBegin_.push_back(uint32_t(operandSlots_.size()));
+            resultBegin_.push_back(uint32_t(resultSlots_.size()));
+        }
+        states_.assign(values_.size(), std::nullopt);
+    }
 
-        while (!worklist.empty()) {
-            size_t idx = *worklist.begin();
-            worklist.erase(worklist.begin());
+    State
+    stateOf(uint32_t slot) const
+    {
+        return states_[slot] ? *states_[slot]
+                             : lattice_.top(*values_[slot]);
+    }
+
+    /**
+     * Monotone update of @p slot with @p incoming: join into a present
+     * state (never moving back up the lattice). A first state is
+     * recorded as is, except that backward runs leave a demand equal
+     * to top unrecorded. Returns whether the state changed.
+     */
+    bool
+    update(uint32_t slot, State incoming)
+    {
+        std::optional<State> &cur = states_[slot];
+        if (cur) {
+            State merged = lattice_.join(*cur, incoming);
+            if (lattice_.equal(*cur, merged))
+                return false;
+            *cur = std::move(merged);
+            return true;
+        }
+        if (direction_ == Direction::Backward &&
+            lattice_.equal(incoming, lattice_.top(*values_[slot])))
+            return false;
+        cur = std::move(incoming);
+        return true;
+    }
+
+    void
+    runForward()
+    {
+        // Users of each slot (CSR), so only affected transfers re-run
+        // after a state change.
+        std::vector<uint32_t> user_begin(values_.size() + 1, 0);
+        for (uint32_t slot : operandSlots_)
+            ++user_begin[slot + 1];
+        for (size_t s = 0; s < values_.size(); ++s)
+            user_begin[s + 1] += user_begin[s];
+        std::vector<uint32_t> users(operandSlots_.size());
+        std::vector<uint32_t> fill(user_begin.begin(),
+                                   user_begin.end() - 1);
+        for (size_t i = 0; i < ops_.size(); ++i)
+            for (uint32_t k = operandBegin_[i]; k < operandBegin_[i + 1];
+                 ++k)
+                users[fill[operandSlots_[k]]++] = uint32_t(i);
+
+        // Lowest index first: seeded in graph order, the first sweep
+        // sees operand states already computed (def-before-use).
+        Worklist<std::greater<uint32_t>> work(ops_.size());
+        std::vector<State> operand_states;
+        while (!work.empty()) {
+            uint32_t idx = work.pop();
             const ir::Operation &op = *ops_[idx];
 
-            std::vector<State> operand_states;
-            operand_states.reserve(op.numOperands());
-            for (const ir::Value *v : op.operands())
-                operand_states.push_back(stateOf(v));
+            operand_states.clear();
+            for (uint32_t k = operandBegin_[idx];
+                 k < operandBegin_[idx + 1]; ++k)
+                operand_states.push_back(stateOf(operandSlots_[k]));
 
             std::vector<State> results =
                 lattice_.transfer(op, operand_states);
             for (unsigned r = 0;
                  r < op.numResults() && r < results.size(); ++r) {
-                const ir::Value *v = op.result(r);
-                State merged = results[r];
-                auto it = states.find(v);
-                if (it != states.end()) {
-                    // Monotone update: never move back up the lattice.
-                    merged = lattice_.join(it->second, merged);
-                    if (lattice_.equal(it->second, merged))
-                        continue;
-                    it->second = merged;
-                } else {
-                    states.emplace(v, merged);
-                }
-                for (size_t user : users[v])
-                    worklist.insert(user);
+                uint32_t slot = resultSlots_[resultBegin_[idx] + r];
+                if (!update(slot, std::move(results[r])))
+                    continue;
+                for (uint32_t u = user_begin[slot];
+                     u < user_begin[slot + 1]; ++u)
+                    work.push(users[u]);
             }
         }
-        return states;
     }
 
-    std::map<const ir::Value *, State>
+    void
     runBackward()
     {
-        // Map each value to the index of its defining op, so a changed
-        // operand demand re-queues exactly the transfer that can
-        // propagate it further up the use-def chain.
-        std::map<const ir::Value *, size_t> def;
-        for (size_t i = 0; i < ops_.size(); ++i)
-            for (unsigned r = 0; r < ops_[i]->numResults(); ++r)
-                def[ops_[i]->result(r)] = i;
-
-        std::map<const ir::Value *, State> states;
-        auto stateOf = [&](const ir::Value *v) -> State {
-            auto it = states.find(v);
-            if (it != states.end())
-                return it->second;
-            return lattice_.top(*v);
-        };
-
-        // Drain back-to-front: uses are visited before defs, so the
-        // first sweep already sees each result's full demand
-        // (use-before-def in reverse program order).
-        std::set<size_t> worklist;
-        for (size_t i = 0; i < ops_.size(); ++i)
-            worklist.insert(i);
-
-        while (!worklist.empty()) {
-            auto last = std::prev(worklist.end());
-            size_t idx = *last;
-            worklist.erase(last);
+        // Highest index first: uses are visited before defs, so the
+        // first sweep already sees each result's full demand. A changed
+        // operand demand re-queues exactly its defining op.
+        Worklist<std::less<uint32_t>> work(ops_.size());
+        std::vector<State> result_states;
+        while (!work.empty()) {
+            uint32_t idx = work.pop();
             const ir::Operation &op = *ops_[idx];
 
-            std::vector<State> result_states;
-            result_states.reserve(op.numResults());
-            for (unsigned r = 0; r < op.numResults(); ++r)
-                result_states.push_back(stateOf(op.result(r)));
+            result_states.clear();
+            for (uint32_t k = resultBegin_[idx]; k < resultBegin_[idx + 1];
+                 ++k)
+                result_states.push_back(stateOf(resultSlots_[k]));
 
             std::vector<State> demands =
                 lattice_.transferBackward(op, result_states);
             for (unsigned i = 0;
                  i < op.numOperands() && i < demands.size(); ++i) {
-                const ir::Value *v = op.operand(i);
-                State merged = demands[i];
-                auto it = states.find(v);
-                if (it != states.end()) {
-                    merged = lattice_.join(it->second, merged);
-                    if (lattice_.equal(it->second, merged))
-                        continue;
-                    it->second = merged;
-                } else {
-                    if (lattice_.equal(merged, lattice_.top(*v)))
-                        continue;
-                    states.emplace(v, merged);
-                }
-                auto d = def.find(v);
-                if (d != def.end())
-                    worklist.insert(d->second);
+                uint32_t slot = operandSlots_[operandBegin_[idx] + i];
+                if (update(slot, std::move(demands[i])) &&
+                    def_[slot] != noDef)
+                    work.push(def_[slot]);
             }
         }
-        return states;
     }
 
     void
@@ -251,6 +375,15 @@ class SparseDataflow
     const Lattice<State> &lattice_;
     Direction direction_;
     std::vector<const ir::Operation *> ops_;
+    /** Slot -> value, in address order. */
+    std::vector<const ir::Value *> values_;
+    /** Per op i: operand slots [operandBegin_[i], operandBegin_[i+1])
+     * of operandSlots_, result slots likewise. */
+    std::vector<uint32_t> operandBegin_, operandSlots_;
+    std::vector<uint32_t> resultBegin_, resultSlots_;
+    /** Slot -> defining op index (noDef for values defined outside). */
+    std::vector<uint32_t> def_;
+    std::vector<std::optional<State>> states_;
 };
 
 /** The classic forward engine, now a thin wrapper over SparseDataflow. */
@@ -314,7 +447,7 @@ class RangeLattice : public Lattice<ValueRange>
 };
 
 /** Convenience: solve the range lattice over @p graph. */
-std::map<const ir::Value *, ValueRange>
+ValueStates<ValueRange>
 computeRanges(const ir::Graph &graph);
 
 /**
@@ -375,7 +508,7 @@ class DemandedBitsLattice : public Lattice<DemandedBits>
 };
 
 /** Convenience: solve the demanded-bits lattice over @p graph. */
-std::map<const ir::Value *, DemandedBits>
+ValueStates<DemandedBits>
 computeDemandedBits(const ir::Graph &graph);
 
 // --------------------------------------------------------------------

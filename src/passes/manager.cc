@@ -6,12 +6,18 @@
  * the effect summaries (analysis/effects.hh) prove the decoupled
  * partition cannot interfere with the in-order partition; otherwise
  * they compile as lowered. Each pass application gets a
- * trace span, a passes.<name>.rewrites counter, a LONGNAIL_VERIFY_IR
- * re-verification, and — under --validate — a signature check that
- * re-proves the transform (docs/pass-pipeline.md).
+ * `pass.<name>.run` trace span (the pass plus its LONGNAIL_VERIFY_IR
+ * re-verification) and a passes.<name>.rewrites counter. Under
+ * --validate the graph is captured once (`pass.capture`), before the
+ * fixpoint loop; every application that rewrites is re-proved against
+ * that baseline in a `pass.<name>.prove` span, and an accepted
+ * application's signature becomes the next baseline
+ * (docs/pass-pipeline.md §2). Applications with zero rewrites do no
+ * validation work.
  */
 
 #include <memory>
+#include <optional>
 
 #include "analysis/effects.hh"
 #include "analysis/verifier.hh"
@@ -29,14 +35,24 @@ struct PassEntry
 {
     const char *name;
     unsigned (*run)(lil::LilGraph &);
+    /** Span and counter names, spelled out once. */
+    const char *runSpan;
+    const char *proveSpan;
+    const char *rewritesCounter;
 };
 
+#define LN_PASS(name, fn)                                               \
+    {name, fn, "pass." name ".run", "pass." name ".prove",              \
+     "passes." name ".rewrites"}
+
 constexpr PassEntry pipelineOrder[] = {
-    {"simplify", runSimplify},
-    {"cse", runCse},
-    {"narrow", runNarrow},
-    {"dce", runDce},
+    LN_PASS("simplify", runSimplify),
+    LN_PASS("cse", runCse),
+    LN_PASS("narrow", runNarrow),
+    LN_PASS("dce", runDce),
 };
+
+#undef LN_PASS
 
 } // namespace
 
@@ -73,30 +89,38 @@ runPipeline(lil::LilModule &mod, const PipelineOptions &options,
         }
         uint64_t graph_rewrites = 0;
 
+        // The one capture of this graph: accepted applications carry
+        // their signature forward, and every later application is
+        // compared against the pre-pipeline co-simulation battery.
+        std::optional<GraphCapture> baseline;
+        if (checker) {
+            obs::TraceSpan span("pass.capture");
+            span.arg("graph", graph.name);
+            baseline = checker->capture(graph);
+            obs::count("passes.captures");
+        }
+
         for (unsigned iter = 0; iter < options.maxIterations; ++iter) {
             unsigned sweep_rewrites = 0;
             for (const PassEntry &pass : pipelineOrder) {
-                obs::TraceSpan span(std::string("pass.") + pass.name);
-                span.arg("graph", graph.name);
-
-                GraphCapture before;
-                if (checker)
-                    before = checker->capture(graph);
-
-                unsigned n = pass.run(graph);
+                unsigned n = 0;
+                {
+                    obs::TraceSpan span(pass.runSpan);
+                    span.arg("graph", graph.name);
+                    n = pass.run(graph);
+                    analysis::verifyAfterTransform(graph.graph,
+                                                   pass.runSpan);
+                }
                 if (n)
-                    obs::count(
-                        (std::string("passes.") + pass.name +
-                         ".rewrites").c_str(), n);
-                analysis::verifyAfterTransform(
-                    graph.graph,
-                    (std::string("pass.") + pass.name).c_str());
+                    obs::count(pass.rewritesCounter, n);
                 sweep_rewrites += n;
                 if (!n || !checker)
                     continue;
 
+                obs::TraceSpan span(pass.proveSpan);
+                span.arg("graph", graph.name);
                 std::string detail;
-                switch (checker->check(graph, before, detail)) {
+                switch (checker->check(graph, *baseline, detail)) {
                   case SignatureChecker::Outcome::Proved:
                     ++res.proved;
                     break;

@@ -16,13 +16,16 @@
  *              predicates (the LN4104 findings) and of unused pure
  *              computations
  *
- * When validation is enabled, the pass manager captures the graph's
+ * When validation is enabled, the pass manager captures each graph's
  * observable signature — the guarded rd/pc/mem/custom-register
- * effects, mirroring lil::interpret() — as canonical terms before
- * each pass, and compares after: term-equal signatures are a symbolic
- * proof; otherwise the golden interpreter re-runs a deterministic
- * input battery, and any divergence refutes the pass (LN4501) and
- * aborts the compile.
+ * effects, mirroring lil::interpret() — as canonical terms, plus a
+ * deterministic interpreter battery, once before the first pass. Each
+ * application that rewrites is compared against it: term-equal
+ * signatures are a symbolic proof; otherwise the golden interpreter
+ * re-runs the battery on the new graph, and any divergence refutes
+ * the pass (LN4501) and aborts the compile. An accepted application's
+ * signature is carried forward as the next baseline
+ * (passes/sigcheck.hh).
  */
 
 #ifndef LONGNAIL_PASSES_PASSES_HH

@@ -226,24 +226,27 @@ SignatureChecker::capture(const lil::LilGraph &graph)
 
 SignatureChecker::Outcome
 SignatureChecker::check(const lil::LilGraph &graph,
-                        const GraphCapture &before, std::string &detail)
+                        GraphCapture &baseline, std::string &detail)
 {
     Signature after = buildSignature(graph);
-    if (signaturesEqual(before.sig, after))
+    if (signaturesEqual(baseline.sig, after)) {
+        baseline.sig = std::move(after);
         return Outcome::Proved;
+    }
 
-    for (size_t i = 0; i < before.inputs.size(); ++i) {
+    for (size_t i = 0; i < baseline.inputs.size(); ++i) {
         lil::InterpResult got =
-            lil::interpret(graph, before.inputs[i]);
-        std::string diff =
-            lil::diffEffects(before.results[i], got, "before", "after");
+            lil::interpret(graph, baseline.inputs[i]);
+        std::string diff = lil::diffEffects(baseline.results[i], got,
+                                            "before", "after");
         if (diff.empty())
             continue;
         detail = "counterexample (trial " + std::to_string(i) +
-                 "): " + lil::describeInput(before.inputs[i]) + ": " +
+                 "): " + lil::describeInput(baseline.inputs[i]) + ": " +
                  diff;
         return Outcome::Refuted;
     }
+    baseline.sig = std::move(after);
     return Outcome::CosimAgreed;
 }
 

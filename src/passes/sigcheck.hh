@@ -7,15 +7,25 @@
  * architectural effects lil::interpret() produces — rd/pc/mem writes
  * with their last-enabled-wins mux chains, the memory-read address
  * strobe and the per-register custom-state writes — captured as
- * canonical terms in a shared tv::TermBuilder. The checker captures
- * the signature (plus a battery of concrete interpreter runs) before
- * a pass mutates the graph, rebuilds it afterwards, and decides:
+ * canonical terms in a shared tv::TermBuilder. The pass manager
+ * captures a graph once, before its first pass: the signature plus a
+ * battery of concrete interpreter runs. After each pass application
+ * that rewrote something, check() rebuilds the signature and decides:
  *
  *   Proved       every signature component reduced to the same term
  *   CosimAgreed  terms differ, but the interpreter battery agrees on
  *                every trial (symbolic gap, no behavioral evidence)
  *   Refuted      some trial diverges: the pass changed architecture-
  *                visible behavior (reported as LN4501)
+ *
+ * An accepted application (Proved or CosimAgreed) hands its freshly
+ * built signature to the capture as the next baseline, so a graph
+ * costs one capture however many passes run. The battery stays the
+ * pre-pipeline graph's: its stimuli depend only on the instruction
+ * encoding, which no pass touches, and every accepted application
+ * agreed with it, so comparing later applications against the
+ * original runs is the same check, and a stricter one should a term
+ * proof ever be unsound.
  */
 
 #ifndef LONGNAIL_PASSES_SIGCHECK_HH
@@ -51,10 +61,12 @@ struct Signature
     std::map<std::string, EffectSig> cust;
 };
 
-/** Everything recorded about a graph before a pass ran. */
+/** The baseline a pass application is checked against. */
 struct GraphCapture
 {
+    /** Signature of the last accepted graph state. */
     Signature sig;
+    /** Co-simulation battery of the graph as captured. */
     std::vector<lil::InterpInput> inputs;
     std::vector<lil::InterpResult> results;
 };
@@ -72,13 +84,16 @@ class SignatureChecker
     /** @p isa may be null (no custom-register state is populated). */
     SignatureChecker(const coredsl::ElaboratedIsa *isa, unsigned trials);
 
+    /** Build the signature of @p graph and run the battery on it. */
     GraphCapture capture(const lil::LilGraph &graph);
 
     /**
-     * Compare @p graph (post-pass) against @p before. On Refuted,
-     * @p detail describes the first divergence for the LN4501 text.
+     * Compare @p graph (post-pass) against @p baseline. On Proved or
+     * CosimAgreed, @p graph's signature becomes the baseline's; on
+     * Refuted, @p detail describes the first divergence for the
+     * LN4501 text and @p baseline is left as it was.
      */
-    Outcome check(const lil::LilGraph &graph, const GraphCapture &before,
+    Outcome check(const lil::LilGraph &graph, GraphCapture &baseline,
                   std::string &detail);
 
   private:

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -541,10 +542,13 @@ TEST(ThreadPool, TaskSpawningTasksDuringDrainDoesNotHang)
     // A self-perpetuating chain: each run resubmits itself until the
     // pool starts draining and rejects the resubmit. drain() must
     // terminate even though running tasks keep trying to spawn work.
+    // The chain refers to itself weakly, so it is freed with the test.
     auto chain = std::make_shared<std::function<void()>>();
-    *chain = [&pool, &ran, chain] {
+    std::weak_ptr<std::function<void()>> self = chain;
+    *chain = [&pool, &ran, self] {
         ran.fetch_add(1);
-        (void)pool.submit(*chain);
+        if (auto next = self.lock())
+            (void)pool.submit(*next);
     };
     ASSERT_TRUE(pool.submit(*chain));
     while (ran.load() < 10)

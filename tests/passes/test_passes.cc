@@ -3,8 +3,9 @@
  * Tests for the -O1 pass pipeline (docs/pass-pipeline.md): individual
  * rewrite correctness on hand-built graphs, per-pass idempotence over
  * the whole benchmark catalog, the catalog proving symbolically at -O1
- * under --validate, and the seeded-miscompile failpoint being refuted
- * by the signature checker (LN4501).
+ * under --validate with stable verdict tallies, the signature
+ * checker's carried-forward baseline, and the seeded-miscompile
+ * failpoint being refuted by the signature checker (LN4501).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,11 @@
 #include "driver/isax_catalog.hh"
 #include "driver/longnail.hh"
 #include "ir/ir.hh"
+#include "obs/metrics.hh"
+#include "obs/obs.hh"
 #include "passes/passes.hh"
+#include "passes/sigcheck.hh"
+#include "scaiev/datasheet.hh"
 #include "support/failpoint.hh"
 
 using namespace longnail;
@@ -275,28 +280,40 @@ TEST(Idempotence, FullPipelineReachesAFixpointOnTheCatalog)
 TEST(Verified, CatalogCompilesAtO1WithEveryPassReproved)
 {
     uint64_t total_rewrites = 0;
+    unsigned proved = 0, cosim_agreed = 0;
     unsigned refusals = 0;
     for (const auto &entry : catalog::allIsaxes()) {
-        driver::CompileOptions options;
-        options.optLevel = 1;
-        options.validate = true;
-        driver::CompiledIsax compiled =
-            driver::compile(entry.source, entry.target, options);
-        EXPECT_TRUE(compiled.ok())
-            << entry.name << ": " << compiled.errors;
-        refusals += compiled.report.tvRefuted;
-        total_rewrites += compiled.report.passRewrites;
-        // Every checked pass application was accounted for (proved or
-        // co-sim agreed; a refutation would have failed ok() above).
-        EXPECT_EQ(compiled.report.passCosimAgreed +
-                          compiled.report.passProved >
-                      0,
-                  compiled.report.passRewrites > 0)
-            << entry.name;
+        for (const std::string &core : scaiev::Datasheet::knownCores()) {
+            driver::CompileOptions options;
+            options.coreName = core;
+            options.optLevel = 1;
+            options.validate = true;
+            driver::CompiledIsax compiled =
+                driver::compile(entry.source, entry.target, options);
+            EXPECT_TRUE(compiled.ok())
+                << entry.name << "@" << core << ": " << compiled.errors;
+            refusals += compiled.report.tvRefuted;
+            total_rewrites += compiled.report.passRewrites;
+            proved += compiled.report.passProved;
+            cosim_agreed += compiled.report.passCosimAgreed;
+            // Every checked pass application was accounted for (proved
+            // or co-sim agreed; a refutation would have failed ok()
+            // above).
+            EXPECT_EQ(compiled.report.passCosimAgreed +
+                              compiled.report.passProved >
+                          0,
+                      compiled.report.passRewrites > 0)
+                << entry.name << "@" << core;
+        }
     }
     EXPECT_EQ(refusals, 0u);
-    // The pipeline must actually do something across the catalog.
-    EXPECT_GT(total_rewrites, 0u);
+    // The verdicts of the 44 catalog units. The rewrite count pins the
+    // pipeline; the proved/co-simulated split pins how the signature
+    // checker decides (one capture per graph, baseline carried
+    // forward) against the figures of per-application capture.
+    EXPECT_EQ(total_rewrites, 13916u);
+    EXPECT_EQ(proved, 352u);
+    EXPECT_EQ(cosim_agreed, 12u);
 }
 
 TEST(Verified, O1ShrinksTheCatalogLilModules)
@@ -312,6 +329,78 @@ TEST(Verified, O1ShrinksTheCatalogLilModules)
         after += compiled.report.lilOpsOptimized;
     }
     EXPECT_LT(after, before);
+}
+
+// --- carried-forward signature baseline ------------------------------------
+
+TEST(Baseline, ProvedRewriteThenALaterMiscompileIsRefuted)
+{
+    // The first catalog graph (in catalog order) that cse rewrites as
+    // lowered.
+    for (const auto &entry : catalog::allIsaxes()) {
+        driver::CompiledIsax compiled =
+            driver::compile(entry.source, entry.target, lintOptions());
+        ASSERT_TRUE(compiled.ok()) << entry.name << ": " << compiled.errors;
+        for (auto &graph : compiled.lilModule->graphs) {
+            if (graph->hasSpawnOps())
+                continue;
+            passes::SignatureChecker checker(
+                compiled.lilModule->isa,
+                passes::PipelineOptions{}.cosimTrials);
+            passes::GraphCapture baseline = checker.capture(*graph);
+            if (!passes::runCse(*graph))
+                continue;
+            std::string detail;
+            EXPECT_EQ(checker.check(*graph, baseline, detail),
+                      passes::SignatureChecker::Outcome::Proved)
+                << entry.name << "/" << graph->name << ": " << detail;
+
+            // The "passes" failpoint's miscompile (the first interface
+            // write's value XOR 1), injected after the accepted
+            // rewrite: the carried-forward baseline must refute it.
+            {
+                failpoint::Scoped guard("passes", failpoint::Mode::Fail);
+                ASSERT_GT(passes::runSimplify(*graph), 0u);
+            }
+            EXPECT_EQ(checker.check(*graph, baseline, detail),
+                      passes::SignatureChecker::Outcome::Refuted)
+                << entry.name << "/" << graph->name;
+            EXPECT_NE(detail.find("counterexample"), std::string::npos)
+                << detail;
+            return;
+        }
+    }
+    FAIL() << "cse rewrote no catalog graph as lowered";
+}
+
+TEST(Baseline, AGraphThePassesLeaveAloneCostsOneCapture)
+{
+    const catalog::IsaxEntry *entry = catalog::findIsax("dotp");
+    ASSERT_NE(entry, nullptr);
+    driver::CompiledIsax compiled =
+        driver::compile(entry->source, entry->target, lintOptions());
+    ASSERT_TRUE(compiled.ok()) << compiled.errors;
+    lil::LilModule &mod = *compiled.lilModule;
+    ASSERT_EQ(mod.graphs.size(), 1u);
+
+    // Reach the fixpoint unvalidated, then validate a rerun that has
+    // nothing left to rewrite.
+    DiagnosticEngine diags;
+    passes::PipelineOptions popts;
+    passes::runPipeline(mod, popts, diags);
+    popts.validate = true;
+
+    obs::ScopedEnable on;
+    obs::ScopedCounterDelta delta;
+    passes::PipelineResult res = passes::runPipeline(mod, popts, diags);
+    EXPECT_EQ(res.totalRewrites, 0u);
+    EXPECT_EQ(res.proved + res.cosimAgreed, 0u);
+    auto counter = [&](const char *name) -> uint64_t {
+        auto it = delta.deltas().find(name);
+        return it != delta.deltas().end() ? it->second : 0;
+    };
+    EXPECT_EQ(counter("passes.captures"), 1u);
+    EXPECT_EQ(counter("interp.graphs_executed"), popts.cosimTrials);
 }
 
 // --- seeded miscompile -----------------------------------------------------
