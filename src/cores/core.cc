@@ -24,53 +24,115 @@ Core::Core(const scaiev::Datasheet &sheet, CoreTiming timing)
     slots_.resize(numStages_);
 }
 
-std::unique_ptr<rtl::Simulator>
-Core::makeSim(const GeneratedModule &mod)
+Core::BoundModule *
+Core::bindModule(const GeneratedModule &mod, const IsaxInstrUnit *unit)
 {
-    if (rtl::defaultSimEngine() == rtl::SimEngine::Compiled) {
-        auto &program = programs_[&mod];
-        if (!program)
-            program = rtl::simjit::Program::compile(mod.module);
-        return std::make_unique<rtl::Simulator>(mod.module, program);
+    auto bound = std::make_unique<BoundModule>();
+    bound->module = &mod;
+    bound->unit = unit;
+    if (rtl::defaultSimEngine() == rtl::SimEngine::Compiled)
+        bound->program = rtl::simjit::Program::compile(mod.module);
+    bound->hasRegisters = mod.module.numRegisters() > 0;
+    auto net = [&](const std::string &name, bool is_input) {
+        if (name.empty())
+            return rtl::invalidNet;
+        auto found = is_input ? mod.module.findInput(name)
+                              : mod.module.findOutput(name);
+        if (!found)
+            LN_PANIC("module '", mod.name, "' has no port '", name, "'");
+        return *found;
+    };
+    for (const InterfacePort &port : mod.ports) {
+        BoundModule::PortNets nets;
+        // Read interfaces take their data in, write interfaces drive it
+        // out; addresses and valids are always outputs.
+        nets.data = net(port.dataPort, !scaiev::isWriteInterface(port.iface));
+        nets.addr = net(port.addrPort, false);
+        nets.valid = net(port.validPort, false);
+        if (!port.reg.empty()) {
+            auto it = customRegs_.find(port.reg);
+            if (it == customRegs_.end())
+                LN_PANIC("module '", mod.name,
+                         "' accesses unknown custom register '", port.reg,
+                         "'");
+            nets.reg = &it->second;
+        }
+        switch (port.iface) {
+          case SubInterface::RdRS1: bound->readsRs1 = true; break;
+          case SubInterface::RdRS2: bound->readsRs2 = true; break;
+          case SubInterface::WrRD: bound->writesRd = true; break;
+          case SubInterface::RdCustReg: {
+            CustRegReads reads = nets.addr == rtl::invalidNet
+                                     ? CustRegReads::Direct
+                                     : CustRegReads::Indexed;
+            size_t stage = size_t(std::max(port.stage, 0));
+            if (stage >= bound->stageReads.size())
+                bound->stageReads.resize(stage + 1, CustRegReads::None);
+            bound->stageReads[stage] =
+                std::max(bound->stageReads[stage], reads);
+            bound->reads = std::max(bound->reads, reads);
+            break;
+          }
+          default: break;
+        }
+        auto add = [&](std::vector<const CustomRegFile *> &regs) {
+            if (std::find(regs.begin(), regs.end(), nets.reg) == regs.end())
+                regs.push_back(nets.reg);
+        };
+        if (port.iface == SubInterface::RdCustReg ||
+            port.iface == SubInterface::WrCustRegData)
+            add(bound->customRegs);
+        if (port.iface == SubInterface::RdCustReg)
+            add(bound->readRegs);
+        if (port.fromSpawn && port.stage > int(wbStage_))
+            bound->spawnsPastWb = true;
+        bound->ports.push_back(nets);
     }
-    return std::make_unique<rtl::Simulator>(mod.module,
+    bound_.push_back(std::move(bound));
+    return bound_.back().get();
+}
+
+std::unique_ptr<rtl::Simulator>
+Core::makeSim(BoundModule &bound)
+{
+    const rtl::Module &module = bound.module->module;
+    if (rtl::defaultSimEngine() == rtl::SimEngine::Compiled) {
+        if (!bound.program)
+            bound.program = rtl::simjit::Program::compile(module);
+        return std::make_unique<rtl::Simulator>(module, bound.program);
+    }
+    return std::make_unique<rtl::Simulator>(module,
                                             rtl::SimEngine::Interp);
+}
+
+std::unique_ptr<rtl::Simulator>
+Core::acquireSim(BoundModule &bound)
+{
+    if (bound.idleSims.empty())
+        return makeSim(bound);
+    std::unique_ptr<rtl::Simulator> sim = std::move(bound.idleSims.back());
+    bound.idleSims.pop_back();
+    sim->reset();
+    ++simReuses_;
+    return sim;
 }
 
 void
 Core::attachIsax(std::shared_ptr<IsaxBundle> bundle)
 {
     for (const auto &reg : bundle->customRegs) {
-        auto &storage = customRegs_[reg.name];
-        storage.assign(reg.elements, ApInt(reg.width, 0));
+        CustomRegFile &file = customRegs_[reg.name];
+        file.values.assign(reg.elements, ApInt(reg.width, 0));
+        ++file.writes;
     }
     for (const auto &always : bundle->alwaysBlocks) {
         AlwaysUnit unit;
-        unit.module = &always;
-        unit.sim = makeSim(always);
-        unit.sim->reset();
+        unit.bound = bindModule(always, nullptr);
+        unit.sim = makeSim(*unit.bound);
         alwaysUnits_.push_back(std::move(unit));
     }
-    // Attach-time precomputation for the per-cycle hot paths: the
-    // custom registers each instruction touches, and (on the compiled
-    // engine) one shared bytecode program per module.
-    for (auto &unit : bundle->instructions) {
-        auto &regs = unitCustomRegs_[&unit];
-        regs.clear();
-        for (const auto &port : unit.module.ports) {
-            if ((port.iface == SubInterface::RdCustReg ||
-                 port.iface == SubInterface::WrCustRegData) &&
-                std::find(regs.begin(), regs.end(), port.reg) ==
-                    regs.end())
-                regs.push_back(port.reg);
-        }
-        if (rtl::defaultSimEngine() == rtl::SimEngine::Compiled) {
-            auto &program = programs_[&unit.module];
-            if (!program)
-                program =
-                    rtl::simjit::Program::compile(unit.module.module);
-        }
-    }
+    for (const auto &unit : bundle->instructions)
+        bindModule(unit.module, &unit);
     // New instructions can change what a fetched word decodes to.
     for (auto &entry : decodeCache_)
         entry.valid = false;
@@ -92,7 +154,7 @@ Core::customReg(const std::string &name, uint64_t index) const
     auto it = customRegs_.find(name);
     if (it == customRegs_.end())
         LN_PANIC("no custom register '", name, "'");
-    return it->second.at(index);
+    return it->second.values.at(index);
 }
 
 void
@@ -102,22 +164,19 @@ Core::setCustomReg(const std::string &name, uint64_t index,
     auto it = customRegs_.find(name);
     if (it == customRegs_.end())
         LN_PANIC("no custom register '", name, "'");
-    ApInt &slot = it->second.at(index);
+    ApInt &slot = it->second.values.at(index);
     slot = value.zextOrTrunc(slot.width());
+    ++it->second.writes;
 }
 
-IsaxInstrUnit *
+Core::BoundModule *
 Core::matchIsax(uint32_t word) const
 {
     // Static arbitration priority: first attached, first matched
     // (Sec. 3.3).
-    for (const auto &bundle : bundles_) {
-        for (auto &unit :
-             const_cast<IsaxBundle &>(*bundle).instructions) {
-            if ((word & unit.mask) == unit.match)
-                return &unit;
-        }
-    }
+    for (const auto &bound : bound_)
+        if (bound->unit && (word & bound->unit->mask) == bound->unit->match)
+            return bound.get();
     return nullptr;
 }
 
@@ -180,8 +239,8 @@ Core::applyRedirect(uint32_t new_pc, uint64_t younger_than_seq)
     fetchWait_ = 0;
     for (auto &slot : slots_) {
         if (slot.valid && slot.seq > younger_than_seq) {
-            if (slot.isax)
-                slot.isax->finished = true; // squashed
+            if (slot.isax && !slot.isax->finished)
+                finishExec(*slot.isax); // squashed
             slot = Slot{};
         }
     }
@@ -211,17 +270,13 @@ Core::processWriteback()
             exec.resultReady = false;
         }
         // Decide how the remaining module stages execute.
-        const GeneratedModule &mod = exec.unit->module;
+        const GeneratedModule &mod = *exec.bound->module;
         if (!exec.finished && exec.stage <= mod.lastStage) {
-            bool spawn_remaining = false;
-            for (const auto &port : mod.ports)
-                if (port.stage > int(wbStage_) && port.fromSpawn)
-                    spawn_remaining = true;
             // Either way the register stays owned by the ISAX until
             // its WrRD fires; readers stall via the scoreboard.
             if (exec.rdPending && exec.rd != 0)
                 rdScoreboard_[exec.rd] = exec.seq;
-            if (spawn_remaining) {
+            if (exec.bound->spawnsPastWb) {
                 // Decoupled execution: the instruction retires, the
                 // module keeps running in parallel.
                 exec.decoupled = true;
@@ -331,14 +386,14 @@ Core::processDecode()
         for (unsigned s = decodeStage_ + 1; s < slots_.size(); ++s) {
             const Slot &older = slots_[s];
             if (older.valid && older.isax &&
-                older.isax->unit == slot.isax->unit &&
+                older.isax->bound == slot.isax->bound &&
                 !older.isax->finished) {
                 stallDecode_ = true;
                 return;
             }
         }
         for (const auto &exec : detachedExecs_) {
-            if (!exec->finished && exec->unit == slot.isax->unit) {
+            if (!exec->finished && exec->bound == slot.isax->bound) {
                 stallDecode_ = true;
                 return;
             }
@@ -346,14 +401,10 @@ Core::processDecode()
     }
 
     // Register operands (with forwarding / stall).
-    bool needs_rs1 = slot.isax
-                         ? slot.isax->unit->module.findPort(
-                               SubInterface::RdRS1) != nullptr
-                         : slot.d.readsRs1();
-    bool needs_rs2 = slot.isax
-                         ? slot.isax->unit->module.findPort(
-                               SubInterface::RdRS2) != nullptr
-                         : slot.d.readsRs2();
+    bool needs_rs1 =
+        slot.isax ? slot.isax->bound->readsRs1 : slot.d.readsRs1();
+    bool needs_rs2 =
+        slot.isax ? slot.isax->bound->readsRs2 : slot.d.readsRs2();
     if (needs_rs1 && !readOperand(slot.d.rs1, slot.seq, slot.rs1v)) {
         stallDecode_ = true;
         return;
@@ -384,7 +435,7 @@ Core::processDecode()
     // Custom-register RAW/WAW against older unfinished ISAXes writing
     // the same register.
     if (slot.isax) {
-        for (const std::string &reg : customRegsReadOrWritten(slot)) {
+        for (const CustomRegFile *reg : slot.isax->bound->customRegs) {
             if (customRegHasPendingWrite(reg, slot.seq)) {
                 stallDecode_ = true;
                 return;
@@ -394,26 +445,18 @@ Core::processDecode()
     slot.operandsRead = true;
 }
 
-const std::vector<std::string> &
-Core::customRegsReadOrWritten(const Slot &slot) const
-{
-    static const std::vector<std::string> empty;
-    if (!slot.isax)
-        return empty;
-    auto it = unitCustomRegs_.find(slot.isax->unit);
-    return it != unitCustomRegs_.end() ? it->second : empty;
-}
-
 bool
-Core::customRegHasPendingWrite(const std::string &reg,
+Core::customRegHasPendingWrite(const CustomRegFile *reg,
                                uint64_t reader_seq) const
 {
     auto pending = [&](const IsaxExec &exec) {
         if (exec.finished || exec.seq >= reader_seq)
             return false;
-        for (const auto &port : exec.unit->module.ports) {
+        const BoundModule &bound = *exec.bound;
+        for (size_t i = 0; i < bound.ports.size(); ++i) {
+            const InterfacePort &port = bound.module->ports[i];
             if (port.iface == SubInterface::WrCustRegData &&
-                port.reg == reg && port.stage >= exec.stage)
+                bound.ports[i].reg == reg && port.stage >= exec.stage)
                 return true;
         }
         return false;
@@ -430,7 +473,6 @@ Core::customRegHasPendingWrite(const std::string &reg,
 void
 Core::processFetch()
 {
-    stallFetch_ = false;
     if (halted_)
         return;
     if (slots_[0].valid)
@@ -463,17 +505,16 @@ Core::processFetch()
     slot.d = cached.d;
     slot.isHalt = slot.d.opcode == Opcode::System;
     if (slot.d.opcode == Opcode::Custom) {
-        IsaxInstrUnit *unit = cached.isax;
-        if (unit) {
+        if (BoundModule *bound = cached.isax) {
+            // Two executions of one module can overlap (the structural
+            // hazard check is in decode, the module steps from fetch),
+            // so each takes its own simulator from the pool.
             auto exec = std::make_shared<IsaxExec>();
-            exec->unit = unit;
-            exec->sim = makeSim(unit->module);
-            exec->sim->reset();
+            exec->bound = bound;
+            exec->sim = acquireSim(*bound);
             exec->stage = 0;
             exec->seq = slot.seq;
-            const InterfacePort *wr =
-                unit->module.findPort(SubInterface::WrRD);
-            exec->rdPending = wr != nullptr;
+            exec->rdPending = bound->writesRd;
             exec->rd = slot.d.rd;
             slot.isax = exec;
         }
@@ -493,13 +534,15 @@ Core::processFetch()
 // ---------------------------------------------------------------------------
 
 void
-Core::stepOneExec(const std::shared_ptr<IsaxExec> &exec_ptr, Slot *slot,
-                  bool force_hold)
+Core::finishExec(IsaxExec &exec)
 {
-    IsaxExec &exec = *exec_ptr;
-    const GeneratedModule &mod = exec.unit->module;
-    rtl::Simulator &sim = *exec.sim;
+    exec.finished = true;
+    exec.bound->idleSims.push_back(std::move(exec.sim));
+}
 
+void
+Core::stepOneExec(IsaxExec &exec, Slot *slot, bool force_hold)
+{
     bool hold;
     if (slot) {
         unsigned s = stageOf(slot);
@@ -517,61 +560,106 @@ Core::stepOneExec(const std::shared_ptr<IsaxExec> &exec_ptr, Slot *slot,
         --exec.memWait;
         hold = true;
     }
-    exec.stalledThisCycle = hold;
+    // A held module neither samples its outputs nor clocks, and the
+    // next cycle without a hold drives the same stage's inputs again,
+    // so evaluating it now would be discarded work. Its stall inputs
+    // thus only ever read 0 when evaluated, as a fresh or reset
+    // simulator has them.
+    if (hold)
+        return;
 
-    // Drive stall inputs uniformly (one instruction per module).
-    for (const std::string &name : mod.stallInputs)
-        if (!name.empty())
-            sim.setInput(name, uint64_t(hold ? 1 : 0));
+    const BoundModule &bound = *exec.bound;
+    const std::vector<InterfacePort> &ports = bound.module->ports;
+    rtl::Simulator &sim = *exec.sim;
 
     // Drive data inputs for ports in the current module stage.
-    for (const auto &port : mod.ports) {
-        if (port.stage != exec.stage)
+    for (size_t i = 0; i < ports.size(); ++i) {
+        if (ports[i].stage != exec.stage)
             continue;
-        switch (port.iface) {
+        rtl::NetId data = bound.ports[i].data;
+        switch (ports[i].iface) {
           case SubInterface::RdInstr:
-            sim.setInput(port.dataPort,
-                         uint64_t(slot ? slot->instr : 0));
+            sim.setInput(data, uint64_t(slot ? slot->instr : 0));
             break;
           case SubInterface::RdRS1:
-            sim.setInput(port.dataPort,
-                         uint64_t(slot ? slot->rs1v : 0));
+            sim.setInput(data, uint64_t(slot ? slot->rs1v : 0));
             break;
           case SubInterface::RdRS2:
-            sim.setInput(port.dataPort,
-                         uint64_t(slot ? slot->rs2v : 0));
+            sim.setInput(data, uint64_t(slot ? slot->rs2v : 0));
             break;
           case SubInterface::RdPC:
-            sim.setInput(port.dataPort,
-                         uint64_t(slot ? slot->pc : 0));
+            sim.setInput(data, uint64_t(slot ? slot->pc : 0));
             break;
           default:
             break;
         }
     }
-    sim.evalComb();
-    // Custom-register reads resolve combinationally.
-    for (const auto &port : mod.ports) {
-        if (port.iface != SubInterface::RdCustReg ||
-            port.stage != exec.stage)
-            continue;
-        auto &storage = customRegs_.at(port.reg);
-        uint64_t index = 0;
-        if (!port.addrPort.empty())
-            index = sim.outputU64(port.addrPort);
-        sim.setInput(port.dataPort, index < storage.size()
-                                        ? storage[index]
-                                        : ApInt(32, 0));
-    }
-    sim.evalComb();
+    evalModule(sim, bound, exec.stage);
+    sampleIsaxOutputs(slot, exec);
+    sim.clockEdge();
+    if (++exec.stage > bound.module->lastStage)
+        finishExec(exec);
+}
 
-    if (!hold) {
-        sampleIsaxOutputs(slot, exec);
-        sim.clockEdge();
-        ++exec.stage;
-        if (exec.stage > mod.lastStage)
-            exec.finished = true;
+void
+Core::evalModule(rtl::Simulator &sim, const BoundModule &bound, int stage)
+{
+    CustRegReads reads = bound.reads;
+    if (stage >= 0)
+        reads = size_t(stage) < bound.stageReads.size()
+                    ? bound.stageReads[size_t(stage)]
+                    : CustRegReads::None;
+    // Custom-register reads resolve combinationally. An address comes
+    // out of an evaluation; without one, driving the data first makes
+    // the second evaluation unnecessary.
+    if (reads == CustRegReads::Indexed) {
+        sim.evalComb();
+        ++moduleEvals_;
     }
+    if (reads != CustRegReads::None) {
+        const std::vector<InterfacePort> &ports = bound.module->ports;
+        for (size_t i = 0; i < ports.size(); ++i) {
+            if (ports[i].iface != SubInterface::RdCustReg ||
+                (stage >= 0 && ports[i].stage != stage))
+                continue;
+            const BoundModule::PortNets &nets = bound.ports[i];
+            const std::vector<ApInt> &storage = nets.reg->values;
+            uint64_t index =
+                nets.addr == rtl::invalidNet ? 0 : sim.netU64(nets.addr);
+            if (index < storage.size())
+                sim.setInput(nets.data, storage[index]);
+            else
+                sim.setInput(nets.data, uint64_t(0));
+        }
+    }
+    sim.evalComb();
+    ++moduleEvals_;
+}
+
+bool
+Core::sampleCustRegWrite(const rtl::Simulator &sim,
+                         const InterfacePort &port,
+                         const BoundModule::PortNets &nets)
+{
+    if (port.iface == SubInterface::WrCustRegAddr) {
+        pendingIdxScratch_.emplace_back(
+            nets.reg,
+            nets.addr == rtl::invalidNet ? 0 : sim.netU64(nets.addr));
+        return false;
+    }
+    if (sim.netU64(nets.valid) == 0)
+        return false;
+    uint64_t index = 0;
+    for (const auto &[reg, idx] : pendingIdxScratch_)
+        if (reg == nets.reg)
+            index = idx;
+    std::vector<ApInt> &storage = nets.reg->values;
+    if (index < storage.size()) {
+        storage[index] =
+            sim.net(nets.data).zextOrTrunc(storage[index].width());
+        ++nets.reg->writes;
+    }
+    return true;
 }
 
 void
@@ -579,10 +667,10 @@ Core::stepIsaxExecs(bool force_hold_attached)
 {
     for (auto &slot : slots_)
         if (slot.valid && slot.isax && !slot.isax->finished)
-            stepOneExec(slot.isax, &slot, force_hold_attached);
+            stepOneExec(*slot.isax, &slot, force_hold_attached);
     for (auto &exec : detachedExecs_)
         if (!exec->finished)
-            stepOneExec(exec, nullptr, false);
+            stepOneExec(*exec, nullptr, false);
     std::erase_if(detachedExecs_,
                   [](const std::shared_ptr<IsaxExec> &exec) {
                       return exec->finished;
@@ -592,39 +680,41 @@ Core::stepIsaxExecs(bool force_hold_attached)
 void
 Core::sampleIsaxOutputs(Slot *slot, IsaxExec &exec)
 {
-    const GeneratedModule &mod = exec.unit->module;
+    const BoundModule &bound = *exec.bound;
+    const std::vector<InterfacePort> &ports = bound.module->ports;
     rtl::Simulator &sim = *exec.sim;
     pendingIdxScratch_.clear();
 
-    for (const auto &port : mod.ports) {
+    for (size_t i = 0; i < ports.size(); ++i) {
+        const InterfacePort &port = ports[i];
         if (port.stage != exec.stage)
             continue;
+        const BoundModule::PortNets &nets = bound.ports[i];
         switch (port.iface) {
           case SubInterface::RdMem: {
-            if (sim.outputU64(port.validPort) == 0)
+            if (sim.netU64(nets.valid) == 0)
                 break;
-            uint32_t addr = uint32_t(sim.outputU64(port.addrPort));
+            uint32_t addr = uint32_t(sim.netU64(nets.addr));
             uint32_t word = memory_.readWord(addr);
-            sim.setInput(port.dataPort, uint64_t(word));
+            sim.setInput(nets.data, uint64_t(word));
             if (timing_.bus.loadWaitStates > 0)
                 exec.memWait = timing_.bus.loadWaitStates;
             break;
           }
           case SubInterface::WrMem: {
-            if (sim.outputU64(port.validPort) == 0)
+            if (sim.netU64(nets.valid) == 0)
                 break;
-            uint32_t addr = uint32_t(sim.outputU64(port.addrPort));
-            uint32_t value = uint32_t(sim.outputU64(port.dataPort));
+            uint32_t addr = uint32_t(sim.netU64(nets.addr));
+            uint32_t value = uint32_t(sim.netU64(nets.data));
             memory_.writeWord(addr, value);
             if (timing_.bus.storeWaitStates > 0)
                 exec.memWait = timing_.bus.storeWaitStates;
             break;
           }
           case SubInterface::WrRD: {
-            bool enabled = sim.outputU64(port.validPort) != 0;
+            bool enabled = sim.netU64(nets.valid) != 0;
             if (enabled) {
-                uint32_t value =
-                    uint32_t(sim.outputU64(port.dataPort));
+                uint32_t value = uint32_t(sim.netU64(nets.data));
                 if (slot) {
                     // In-pipeline: forwardable immediately, committed
                     // to the register file in program order at WB.
@@ -648,103 +738,86 @@ Core::sampleIsaxOutputs(Slot *slot, IsaxExec &exec)
             break;
           }
           case SubInterface::WrPC: {
-            if (sim.outputU64(port.validPort) == 0)
+            if (sim.netU64(nets.valid) == 0)
                 break;
-            uint32_t target = uint32_t(sim.outputU64(port.dataPort));
+            uint32_t target = uint32_t(sim.netU64(nets.data));
             applyRedirect(target, exec.seq);
             break;
           }
           case SubInterface::WrCustRegAddr:
-            pendingIdxScratch_.emplace_back(
-                &port.reg, port.addrPort.empty()
-                               ? 0
-                               : sim.outputU64(port.addrPort));
+          case SubInterface::WrCustRegData:
+            sampleCustRegWrite(sim, port, nets);
             break;
-          case SubInterface::WrCustRegData: {
-            if (sim.outputU64(port.validPort) == 0)
-                break;
-            auto &storage = customRegs_.at(port.reg);
-            uint64_t index = 0;
-            for (const auto &[reg, idx] : pendingIdxScratch_)
-                if (*reg == port.reg)
-                    index = idx;
-            if (index < storage.size())
-                storage[index] = sim.output(port.dataPort)
-                                     .zextOrTrunc(
-                                         storage[index].width());
-            break;
-          }
           default:
             break;
         }
     }
-    (void)slot;
 }
 
 void
 Core::runAlwaysUnits()
 {
+    // Gated by fetch-valid: the always-block sees each fetched PC
+    // exactly once (cf. RdIValid in Table 1).
+    uint32_t pc = fetchedThisCycle_ ? fetchedPc_ : 0xffffffffu;
     for (auto &unit : alwaysUnits_) {
+        const BoundModule &bound = *unit.bound;
+        const std::vector<InterfacePort> &ports = bound.module->ports;
         rtl::Simulator &sim = *unit.sim;
-        for (const auto &port : unit.module->ports) {
-            if (port.iface == SubInterface::RdPC) {
-                // Gated by fetch-valid: the always-block sees each
-                // fetched PC exactly once (cf. RdIValid in Table 1).
-                uint32_t pc_value = fetchedThisCycle_ ? fetchedPc_
-                                                      : 0xffffffffu;
-                sim.setInput(port.dataPort, uint64_t(pc_value));
-            }
+        // A register-less block is a function of its PC and the custom
+        // registers it reads. At a PC where it had no effect, with
+        // those registers unwritten since, it would have none again.
+        // (On ZOL the PC reads 0xffffffff on every cycle without a
+        // fetch.)
+        uint64_t writes = 0;
+        for (const CustomRegFile *reg : bound.readRegs)
+            writes += reg->writes;
+        if (writes != unit.seenWrites) {
+            unit.seenWrites = writes;
+            unit.numQuiet = 0;
         }
-        sim.evalComb();
-        for (const auto &port : unit.module->ports) {
-            if (port.iface != SubInterface::RdCustReg)
-                continue;
-            auto &storage = customRegs_.at(port.reg);
-            uint64_t index = 0;
-            if (!port.addrPort.empty())
-                index = sim.outputU64(port.addrPort);
-            sim.setInput(port.dataPort, index < storage.size()
-                                            ? storage[index]
-                                            : ApInt(32, 0));
+        if (std::find(unit.quietPcs.begin(),
+                      unit.quietPcs.begin() + unit.numQuiet,
+                      pc) != unit.quietPcs.begin() + unit.numQuiet) {
+            ++alwaysSkipped_;
+            sim.clockEdge(); // no registers: only counts the cycle
+            continue;
         }
-        sim.evalComb();
+        for (size_t i = 0; i < ports.size(); ++i)
+            if (ports[i].iface == SubInterface::RdPC)
+                sim.setInput(bound.ports[i].data, uint64_t(pc));
+        evalModule(sim, bound, -1);
 
+        bool fired = false;
         pendingIdxScratch_.clear();
-        for (const auto &port : unit.module->ports) {
-            switch (port.iface) {
+        for (size_t i = 0; i < ports.size(); ++i) {
+            const BoundModule::PortNets &nets = bound.ports[i];
+            switch (ports[i].iface) {
               case SubInterface::WrPC:
-                if (sim.outputU64(port.validPort) != 0) {
+                if (sim.netU64(nets.valid) != 0) {
                     // Redirect the next fetch; the already fetched
                     // instruction proceeds (ZOL semantics).
-                    fetchPc_ = uint32_t(sim.outputU64(port.dataPort));
+                    fetchPc_ = uint32_t(sim.netU64(nets.data));
                     fetchWait_ = 0;
+                    fired = true;
                 }
                 break;
               case SubInterface::WrCustRegAddr:
-                pendingIdxScratch_.emplace_back(
-                    &port.reg, port.addrPort.empty()
-                                   ? 0
-                                   : sim.outputU64(port.addrPort));
+              case SubInterface::WrCustRegData:
+                fired |= sampleCustRegWrite(sim, ports[i], nets);
                 break;
-              case SubInterface::WrCustRegData: {
-                if (sim.outputU64(port.validPort) == 0)
-                    break;
-                auto &storage = customRegs_.at(port.reg);
-                uint64_t index = 0;
-                for (const auto &[reg, idx] : pendingIdxScratch_)
-                    if (*reg == port.reg)
-                        index = idx;
-                if (index < storage.size())
-                    storage[index] =
-                        sim.output(port.dataPort)
-                            .zextOrTrunc(storage[index].width());
-                break;
-              }
               default:
                 break;
             }
         }
         sim.clockEdge();
+        if (fired || bound.hasRegisters) {
+            unit.numQuiet = 0;
+        } else {
+            unit.quietPcs[1] = unit.quietPcs[0];
+            unit.quietPcs[0] = pc;
+            unit.numQuiet = std::min(unit.numQuiet + 1, 2u);
+        }
     }
 }
 
@@ -798,7 +871,6 @@ Core::stepCycle()
 {
     if (halted_)
         return false;
-    ++cycle_;
     fetchedThisCycle_ = false;
 
     if (globalStall_ > 0) {
@@ -828,7 +900,7 @@ Core::stepCycle()
     // before moving the slots so stage-s inputs are sampled in stage s.
     stepIsaxExecs(/*force_hold_attached=*/false);
 
-    if (stallFetch_ || stallDecode_)
+    if (stallDecode_)
         ++stallCycles_;
     advancePipeline();
     runAlwaysUnits();
@@ -840,6 +912,9 @@ Core::run(uint64_t max_cycles)
 {
     uint64_t retired_before = retired_;
     uint64_t stalls_before = stallCycles_;
+    uint64_t evals_before = moduleEvals_;
+    uint64_t reuses_before = simReuses_;
+    uint64_t skipped_before = alwaysSkipped_;
     RunStats stats;
     while (!halted_ && stats.cycles < max_cycles) {
         stepCycle();
@@ -860,6 +935,9 @@ Core::run(uint64_t max_cycles)
     obs::count("core.cycles", stats.cycles);
     obs::count("core.instructions_retired", retired_ - retired_before);
     obs::count("core.stall_cycles", stallCycles_ - stalls_before);
+    obs::count("core.module_evals", moduleEvals_ - evals_before);
+    obs::count("core.sim_reuses", simReuses_ - reuses_before);
+    obs::count("core.always_skipped", alwaysSkipped_ - skipped_before);
     return stats;
 }
 

@@ -119,6 +119,63 @@ class Core
 
   private:
     // ------------------------------------------------------------------
+    /** A custom register file and the number of writes to it. */
+    struct CustomRegFile
+    {
+        std::vector<ApInt> values;
+        uint64_t writes = 0;
+    };
+
+    /** How the RdCustReg ports of an evaluation get their data. The
+     * order matters: merging two sets of ports takes the larger. */
+    enum class CustRegReads : uint8_t
+    {
+        None,
+        /** No port has an address: drive all, then evaluate once. */
+        Direct,
+        /** Some port has an address: evaluate to compute it, drive
+         * every read, evaluate again. */
+        Indexed,
+    };
+
+    /**
+     * Attach-time record of one generated module: what the per-cycle
+     * paths need of it, resolved once, and its idle simulators.
+     */
+    struct BoundModule
+    {
+        const hwgen::GeneratedModule *module = nullptr;
+        const IsaxInstrUnit *unit = nullptr; ///< null for always-blocks
+        /** Shared bytecode program (compiled engine), built once. */
+        std::shared_ptr<const rtl::simjit::Program> program;
+        /** The nets of one interface port (invalidNet where absent). */
+        struct PortNets
+        {
+            rtl::NetId data = rtl::invalidNet;
+            rtl::NetId addr = rtl::invalidNet;
+            rtl::NetId valid = rtl::invalidNet;
+            /** The custom register the port accesses. */
+            CustomRegFile *reg = nullptr;
+        };
+        std::vector<PortNets> ports; ///< parallel to module->ports
+        /** The custom-register reads of each stage (index = stage)
+         * and of the whole module (always-blocks drive every port). */
+        std::vector<CustRegReads> stageReads;
+        CustRegReads reads = CustRegReads::None;
+        bool hasRegisters = false;
+        bool readsRs1 = false;
+        bool readsRs2 = false;
+        bool writesRd = false;
+        /** Has spawn ports after the core's write-back stage. */
+        bool spawnsPastWb = false;
+        /** Custom registers read or written, and those read; each
+         * without duplicates. */
+        std::vector<const CustomRegFile *> customRegs;
+        std::vector<const CustomRegFile *> readRegs;
+        /** Simulators of finished executions, reset on reuse. */
+        std::vector<std::unique_ptr<rtl::Simulator>> idleSims;
+    };
+
     struct IsaxExec; // an ISAX instruction in flight
 
     /** One pipeline slot (the instruction occupying a stage). */
@@ -144,10 +201,10 @@ class Core
     /** A custom (ISAX) instruction execution driving its module. */
     struct IsaxExec
     {
-        IsaxInstrUnit *unit = nullptr;
+        BoundModule *bound = nullptr;
+        /** Null once finished (returned to bound->idleSims). */
         std::unique_ptr<rtl::Simulator> sim;
         int stage = -1;       ///< current module stage (time step)
-        bool stalledThisCycle = false;
         bool rdPending = false; ///< WrRD not yet delivered
         bool resultReady = false; ///< sampled, awaiting WB commit
         uint32_t resultValue = 0;
@@ -160,8 +217,14 @@ class Core
 
     struct AlwaysUnit
     {
-        const hwgen::GeneratedModule *module = nullptr;
+        BoundModule *bound = nullptr;
         std::unique_ptr<rtl::Simulator> sim;
+        /** Writes to the registers the block reads, when last seen. */
+        uint64_t seenWrites = 0;
+        /** PCs, most recent first, at which an evaluation since then
+         * had no effect (runAlwaysUnits). */
+        std::array<uint32_t, 2> quietPcs{};
+        unsigned numQuiet = 0;
     };
 
     // Stage processing (called once per cycle, last stage first).
@@ -173,27 +236,41 @@ class Core
     void advancePipeline();
     void runAlwaysUnits();
     void stepIsaxExecs(bool force_hold_attached);
-    void stepOneExec(const std::shared_ptr<IsaxExec> &exec, Slot *slot,
-                     bool force_hold);
+    void stepOneExec(IsaxExec &exec, Slot *slot, bool force_hold);
+    /** Mark @p exec finished and return its simulator to the pool. */
+    void finishExec(IsaxExec &exec);
 
     bool readOperand(unsigned reg_index, uint64_t reader_seq,
                      uint32_t &value) const;
-    IsaxInstrUnit *matchIsax(uint32_t word) const;
+    BoundModule *matchIsax(uint32_t word) const;
 
     void sampleIsaxOutputs(Slot *slot, IsaxExec &exec);
+    /** Evaluate @p sim, its other inputs driven, resolving the
+     * RdCustReg ports at @p stage (all of them when negative). */
+    void evalModule(rtl::Simulator &sim, const BoundModule &bound,
+                    int stage);
+    /** Sample a WrCustRegAddr port (remember the index) or a
+     * WrCustRegData port (write its register at the index remembered
+     * last for it). @return whether a data port's valid fired. */
+    bool sampleCustRegWrite(const rtl::Simulator &sim,
+                            const hwgen::InterfacePort &port,
+                            const BoundModule::PortNets &nets);
     void applyRedirect(uint32_t new_pc, uint64_t younger_than_seq);
 
     unsigned stageOf(const Slot *slot) const;
     bool slotWillAdvance(unsigned stage) const;
-    const std::vector<std::string> &customRegsReadOrWritten(
-        const Slot &slot) const;
-    bool customRegHasPendingWrite(const std::string &reg,
+    bool customRegHasPendingWrite(const CustomRegFile *reg,
                                   uint64_t reader_seq) const;
-    /** Simulator for a generated module, honoring the process-wide
-     * engine default. The compiled engine shares one bytecode program
-     * per module across all dynamic executions. */
-    std::unique_ptr<rtl::Simulator> makeSim(
-        const hwgen::GeneratedModule &mod);
+    /** Bind @p mod (of instruction @p unit, or an always-block when
+     * null): resolve its port nets and custom registers. */
+    BoundModule *bindModule(const hwgen::GeneratedModule &mod,
+                            const IsaxInstrUnit *unit);
+    /** Simulator for a bound module, honoring the process-wide engine
+     * default. The compiled engine shares one bytecode program per
+     * module across all dynamic executions. */
+    std::unique_ptr<rtl::Simulator> makeSim(BoundModule &bound);
+    /** An idle simulator of @p bound, reset, or a new one. */
+    std::unique_ptr<rtl::Simulator> acquireSim(BoundModule &bound);
 
     // ------------------------------------------------------------------
     const scaiev::Datasheet &sheet_;
@@ -213,7 +290,6 @@ class Core
     bool fetchedThisCycle_ = false;
     uint32_t fetchedPc_ = 0;
     uint64_t nextSeq_ = 1;
-    uint64_t cycle_ = 0;
     uint64_t retired_ = 0;
     uint64_t stallCycles_ = 0;
     bool halted_ = false;
@@ -226,16 +302,18 @@ class Core
     std::map<unsigned, uint64_t> rdScoreboard_;
 
     std::vector<std::shared_ptr<IsaxBundle>> bundles_;
+    /** One record per attached module, in attach order (which is the
+     * arbitration order: first attached, first matched). */
+    std::vector<std::unique_ptr<BoundModule>> bound_;
     std::vector<AlwaysUnit> alwaysUnits_;
-    std::map<std::string, std::vector<ApInt>> customRegs_;
+    std::map<std::string, CustomRegFile> customRegs_;
 
-    /** Compiled simulation programs, one per generated module. */
-    std::map<const hwgen::GeneratedModule *,
-             std::shared_ptr<const rtl::simjit::Program>>
-        programs_;
-    /** Custom registers touched per ISAX instruction (attach-time). */
-    std::map<const IsaxInstrUnit *, std::vector<std::string>>
-        unitCustomRegs_;
+    // Work counters, flushed by run() as core.module_evals,
+    // core.sim_reuses and core.always_skipped.
+    uint64_t moduleEvals_ = 0;
+    uint64_t simReuses_ = 0;
+    uint64_t alwaysSkipped_ = 0;
+
     /** Direct-mapped fetch decode cache: decode() + matchIsax() are
      * pure functions of the instruction word and the attached
      * bundles, so memoize them (invalidated by attachIsax). */
@@ -244,19 +322,16 @@ class Core
         uint32_t word = 0;
         bool valid = false;
         DecodedInstr d;
-        IsaxInstrUnit *isax = nullptr;
+        BoundModule *isax = nullptr;
     };
     std::array<DecodeCacheEntry, 256> decodeCache_{};
     /** Reusable scratch for WrCustRegAddr/WrCustRegData pairing,
      * avoiding a per-cycle map allocation. */
-    std::vector<std::pair<const std::string *, uint64_t>>
+    std::vector<std::pair<const CustomRegFile *, uint64_t>>
         pendingIdxScratch_;
 
-    // Per-cycle stall flags computed during stage processing.
-    bool stallFetch_ = false;
+    /** Decode held its instruction this cycle (hazard). */
     bool stallDecode_ = false;
-    bool stallExecute_ = false;
-    bool stallMemory_ = false;
 };
 
 } // namespace cores

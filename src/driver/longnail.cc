@@ -351,8 +351,27 @@ compileInto(CompiledIsax &result, DiagnosticEngine &diags,
     }
     if (cancelRequested(options, diags, "analysis"))
         return;
-    if (options.lintOnly)
+
+    // Analysis-state dump (debug aid). A lint run dumps the module it
+    // analyzed; a compile dumps it after the passes, so the states
+    // describe the module that scheduling will consume.
+    auto dumpAnalysis = [&] {
+        if (options.dumpAnalysisFile.empty())
+            return true;
+        std::ofstream dump(options.dumpAnalysisFile);
+        if (!dump) {
+            diags.error({}, "LN3012",
+                        "cannot write --dump-analysis file '" +
+                            options.dumpAnalysisFile + "'");
+            return false;
+        }
+        passes::writeAnalysisDump(*result.lilModule, dump);
+        return true;
+    };
+    if (options.lintOnly) {
+        dumpAnalysis();
         return;
+    }
 
     // Optimization pipeline (docs/pass-pipeline.md): -O1 runs the
     // verified passes over every LIL graph before any scheduling —
@@ -386,18 +405,8 @@ compileInto(CompiledIsax &result, DiagnosticEngine &diags,
     if (cancelRequested(options, diags, "passes"))
         return;
 
-    // Analysis-state dump (debug aid; deliberately after the passes so
-    // the states describe the module that scheduling will consume).
-    if (!options.dumpAnalysisFile.empty()) {
-        std::ofstream dump(options.dumpAnalysisFile);
-        if (!dump) {
-            diags.error({}, "LN3012",
-                        "cannot write --dump-analysis file '" +
-                            options.dumpAnalysisFile + "'");
-            return;
-        }
-        passes::writeAnalysisDump(*result.lilModule, dump);
-    }
+    if (!dumpAnalysis())
+        return;
 
     // Schedule and generate hardware per functionality. The technology
     // characterization is shared across a batch when the caller

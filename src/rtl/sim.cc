@@ -101,6 +101,8 @@ Simulator::reset()
     }
     for (size_t i = 0; i < regNodes_.size(); ++i)
         regState_[i] = module_.nodes()[regNodes_[i]].value;
+    for (const auto &[name, net] : module_.inputs())
+        values_[net] = ApInt(module_.widthOf(net), 0);
 }
 
 NetId

@@ -63,7 +63,8 @@ class Simulator
         return machine_ ? SimEngine::Compiled : SimEngine::Interp;
     }
 
-    /** Reset all registers to their initial values. */
+    /** Reset all registers to their initial values and every input
+     * to zero: a reset simulator behaves exactly like a fresh one. */
     void reset();
 
     void setInput(const std::string &name, const ApInt &value);

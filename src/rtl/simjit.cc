@@ -609,6 +609,8 @@ Machine::reset()
         w2_[reg.slot] = reg.init;
     for (const auto &reg : prog_->regsW_)
         wide_[reg.slot] = reg.init;
+    for (const auto &[name, net] : prog_->module_->inputs())
+        setInput(net, uint64_t(0));
 }
 
 void

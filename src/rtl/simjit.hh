@@ -247,7 +247,7 @@ class Machine
 
     const Program &program() const { return *prog_; }
 
-    /** Reset registers to their init values. */
+    /** Reset registers to their init values and inputs to zero. */
     void reset();
 
     void setInput(NetId net, const ApInt &value);

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "driver/longnail.hh"
+#include "obs/metrics.hh"
+#include "obs/obs.hh"
+#include "rtl/sim.hh"
 
 using namespace longnail;
 using namespace longnail::driver;
@@ -352,6 +355,32 @@ TEST(Integration, ZolIsZeroOverhead)
     EXPECT_LT(stats.cycles, 100u + 20u);
 }
 
+TEST(Integration, IdleAlwaysBlockWakesOnCustomRegisterWrite)
+{
+    // The core skips a register-less always-block while its inputs
+    // stand still. With 10 fetch wait states, cycles 2..11 fetch
+    // nothing, so the ZOL block sees PC 0xffffffff on each of them and
+    // is skipped from cycle 3 on. A custom-register write must wake it:
+    // with END_PC = 0xffffffff and COUNT != 0, the very next cycle
+    // loops back to START_PC.
+    TestBench bench = prepare("zol", "VexRiscv", R"(
+        nop
+        nop
+        ecall
+    )");
+    cores::CoreTiming timing;
+    timing.fetchWaitStates = 10;
+    cores::Core core = bench.makeCore(timing);
+    for (int cycle = 1; cycle <= 5; ++cycle)
+        ASSERT_TRUE(core.stepCycle());
+    core.setCustomReg("START_PC", 0, ApInt(32, 0x40));
+    core.setCustomReg("END_PC", 0, ApInt(32, 0xffffffff));
+    core.setCustomReg("COUNT", 0, ApInt(32, 3));
+    ASSERT_TRUE(core.stepCycle());
+    EXPECT_EQ(core.customReg("COUNT").toUint64(), 2u);
+    EXPECT_EQ(core.pc(), 0x40u);
+}
+
 // ---------------------------------------------------------------------------
 // autoinc + zol combined (the Sec. 5.5 kernel)
 // ---------------------------------------------------------------------------
@@ -486,3 +515,261 @@ TEST_P(RingbufIntegration, IndexedCustomRegisterFile)
 INSTANTIATE_TEST_SUITE_P(Cores, RingbufIntegration,
                          ::testing::Values("ORCA", "Piccolo", "PicoRV32",
                                            "VexRiscv"));
+
+// ---------------------------------------------------------------------------
+// Sec. 5.5 cycle models and sqrt loops, on both simulation engines
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr uint32_t kDataBase = 0x4000;
+constexpr uint32_t kOutBase = 0x8000;
+
+/** The paper's uncached bus (EXPERIMENTS.md, Sec. 5.5): 2 fetch and 6
+ * load wait states. */
+cores::CoreTiming
+paperTiming()
+{
+    cores::CoreTiming timing;
+    timing.fetchWaitStates = 2;
+    timing.bus.loadWaitStates = 6;
+    return timing;
+}
+
+/** What a VexRiscv run leaves behind: none of it may depend on the
+ * simulation engine the attached modules run on. */
+struct EngineRun
+{
+    cores::RunStats stats;
+    std::vector<uint32_t> regs;
+    std::vector<uint32_t> data; ///< words at kDataBase
+    std::vector<uint32_t> out;  ///< words at kOutBase
+};
+
+/** Run @p program with @p data at kDataBase on VexRiscv (paper
+ * timing), every module of @p isax (if any) simulated on @p engine. */
+EngineRun
+runOnEngine(rtl::SimEngine engine, const CompiledIsax *isax,
+            const rvasm::Program &program,
+            const std::vector<uint32_t> &data, size_t out_words)
+{
+    // The core picks the engine when it makes a simulator, so the
+    // default must hold for the whole run.
+    struct EngineScope
+    {
+        rtl::SimEngine saved = rtl::defaultSimEngine();
+        explicit EngineScope(rtl::SimEngine e)
+        {
+            rtl::setDefaultSimEngine(e);
+        }
+        ~EngineScope() { rtl::setDefaultSimEngine(saved); }
+    } scope(engine);
+
+    cores::Core core(Datasheet::forCore("VexRiscv"), paperTiming());
+    if (isax)
+        core.attachIsax(isax->makeBundle());
+    core.loadProgram(program.words, 0);
+    for (size_t i = 0; i < data.size(); ++i)
+        core.memory().writeWord(kDataBase + 4 * uint32_t(i), data[i]);
+    EngineRun run;
+    run.stats = core.run(1'000'000);
+    for (unsigned r = 0; r < 32; ++r)
+        run.regs.push_back(core.reg(r));
+    for (size_t i = 0; i < data.size(); ++i)
+        run.data.push_back(
+            core.memory().readWord(kDataBase + 4 * uint32_t(i)));
+    for (size_t i = 0; i < out_words; ++i)
+        run.out.push_back(
+            core.memory().readWord(kOutBase + 4 * uint32_t(i)));
+    return run;
+}
+
+/** Run on both engines, require identical outcomes, return one. */
+EngineRun
+runOnBothEngines(const CompiledIsax *isax, const std::string &source,
+                 const std::vector<uint32_t> &data, size_t out_words = 0)
+{
+    rvasm::Assembler as;
+    if (isax)
+        registerIsaxMnemonics(as, *isax->isa);
+    rvasm::Program program = as.assemble(source, 0);
+    EXPECT_TRUE(program.ok) << program.error;
+    EngineRun compiled = runOnEngine(rtl::SimEngine::Compiled, isax,
+                                     program, data, out_words);
+    EngineRun interp = runOnEngine(rtl::SimEngine::Interp, isax, program,
+                                   data, out_words);
+    EXPECT_TRUE(compiled.stats.halted);
+    EXPECT_EQ(compiled.stats.halted, interp.stats.halted);
+    EXPECT_EQ(compiled.stats.cycles, interp.stats.cycles);
+    EXPECT_EQ(compiled.stats.instructions, interp.stats.instructions);
+    EXPECT_EQ(compiled.stats.stallCycles, interp.stats.stallCycles);
+    EXPECT_EQ(compiled.regs, interp.regs);
+    EXPECT_EQ(compiled.data, interp.data);
+    EXPECT_EQ(compiled.out, interp.out);
+    return compiled;
+}
+
+CompiledIsax
+compileForVexRiscv(const std::string &isax)
+{
+    CompileOptions options;
+    options.coreName = "VexRiscv";
+    CompiledIsax compiled = compileCatalogIsax(isax, options);
+    EXPECT_TRUE(compiled.ok()) << compiled.errors;
+    return compiled;
+}
+
+/** The Sec. 5.5 array, and its sum. */
+std::vector<uint32_t>
+sec55Array(unsigned n, uint32_t &sum)
+{
+    std::vector<uint32_t> data;
+    sum = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        data.push_back(i * 7 + 3);
+        sum += data.back();
+    }
+    return data;
+}
+
+} // namespace
+
+TEST(Sec55, BaselineSumTakes18nPlus17Cycles)
+{
+    for (unsigned n : {8u, 16u, 64u}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        uint32_t sum = 0;
+        std::vector<uint32_t> data = sec55Array(n, sum);
+        EngineRun run = runOnBothEngines(
+            nullptr,
+            "    li a0, " + std::to_string(kDataBase) + "\n" +
+                "    li t1, " + std::to_string(n) + "\n" + R"(
+    li s0, 0
+loop:
+    lw t0, 0(a0)
+    add s0, s0, t0
+    addi a0, a0, 4
+    addi t1, t1, -1
+    bnez t1, loop
+    ecall
+)",
+            data);
+        EXPECT_EQ(run.regs[8], sum); // s0
+        EXPECT_EQ(run.stats.cycles, 18u * n + 17u);
+    }
+}
+
+TEST(Sec55, AutoincZolSumTakes11nPlus20Cycles)
+{
+    CompiledIsax isax = compileForVexRiscv("autoinc_zol");
+    ASSERT_TRUE(isax.ok());
+    for (unsigned n : {8u, 16u, 64u}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        uint32_t sum = 0;
+        std::vector<uint32_t> data = sec55Array(n, sum);
+        // Loop body: lw_autoinc + add; the ZOL always-block runs it n
+        // times with no branch.
+        EngineRun run = runOnBothEngines(
+            &isax,
+            "    li a0, " + std::to_string(kDataBase) + "\n" +
+                "    setup_autoinc a0\n    li s0, 0\n" +
+                "    setup_zol " + std::to_string(n - 1) + ", 4\n" +
+                "    lw_autoinc t0\n    add s0, s0, t0\n    ecall\n",
+            data);
+        EXPECT_EQ(run.regs[8], sum); // s0
+        EXPECT_EQ(run.stats.cycles, 11u * n + 20u);
+    }
+}
+
+TEST(Sec55, WorkCountersAreDeterministicOnBothEngines)
+{
+    // core.module_evals / core.sim_reuses / core.always_skipped explain
+    // the co-simulation cost; they count work, not time, so they must
+    // not depend on the engine.
+    CompiledIsax isax = compileForVexRiscv("autoinc_zol");
+    ASSERT_TRUE(isax.ok());
+    uint32_t sum = 0;
+    std::vector<uint32_t> data = sec55Array(16, sum);
+    rvasm::Assembler as;
+    registerIsaxMnemonics(as, *isax.isa);
+    rvasm::Program program = as.assemble(
+        "    li a0, " + std::to_string(kDataBase) + "\n" +
+            "    setup_autoinc a0\n    li s0, 0\n    setup_zol 15, 4\n" +
+            "    lw_autoinc t0\n    add s0, s0, t0\n    ecall\n",
+        0);
+    ASSERT_TRUE(program.ok) << program.error;
+    const char *names[] = {"core.module_evals", "core.sim_reuses",
+                           "core.always_skipped"};
+    std::vector<std::vector<uint64_t>> counts;
+    obs::setEnabled(true);
+    for (rtl::SimEngine engine :
+         {rtl::SimEngine::Compiled, rtl::SimEngine::Interp}) {
+        obs::Registry::instance().clear();
+        EngineRun run = runOnEngine(engine, &isax, program, data, 0);
+        EXPECT_EQ(run.regs[8], sum);
+        counts.emplace_back();
+        for (const char *name : names)
+            counts.back().push_back(
+                obs::Registry::instance().counter(name));
+    }
+    obs::setEnabled(false);
+    obs::Registry::instance().clear();
+    EXPECT_EQ(counts[0], counts[1]);
+    // The 16 lw_autoinc executions overlap in the pipeline, so they
+    // need more than one simulator, but most reuse a pooled one; the
+    // ZOL block idles on the cycles without a fetch.
+    EXPECT_GT(counts[0][0], 0u);
+    EXPECT_GE(counts[0][1], 8u);
+    EXPECT_LT(counts[0][1], 15u);
+    EXPECT_GT(counts[0][2], 0u);
+}
+
+class SqrtLoopBothEngines : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(SqrtLoopBothEngines, RootsMatchGoldenModel)
+{
+    CompiledIsax isax = compileForVexRiscv(GetParam());
+    ASSERT_TRUE(isax.ok());
+    std::vector<uint32_t> radicands = {0,          1,          144,
+                                       0x00100000, 0x7fffffff, 0xffffffff};
+    std::string source =
+        "    li a0, " + std::to_string(kDataBase) + "\n" +
+        "    li a1, " + std::to_string(kOutBase) + "\n" +
+        "    li t2, " + std::to_string(radicands.size()) + "\n" + R"(
+    li s0, 0
+loop:
+    lw t0, 0(a0)
+    sqrt t1, t0
+    sw t1, 0(a1)
+    add s0, s0, t1
+    addi a0, a0, 4
+    addi a1, a1, 4
+    addi t2, t2, -1
+    bnez t2, loop
+    ecall
+)";
+    EngineRun run =
+        runOnBothEngines(&isax, source, radicands, radicands.size());
+
+    rvasm::Assembler as;
+    registerIsaxMnemonics(as, *isax.isa);
+    GoldenModel golden(isax);
+    golden.loadProgram(as.assemble(source, 0).words, 0);
+    for (size_t i = 0; i < radicands.size(); ++i)
+        golden.memory().writeWord(kDataBase + 4 * uint32_t(i),
+                                  radicands[i]);
+    golden.run();
+    for (unsigned r = 1; r < 32; ++r)
+        EXPECT_EQ(run.regs[r], golden.reg(r)) << "x" << r;
+    for (size_t i = 0; i < radicands.size(); ++i)
+        EXPECT_EQ(run.out[i],
+                  golden.memory().readWord(kOutBase + 4 * uint32_t(i)))
+            << "sqrt(" << radicands[i] << ")";
+    EXPECT_EQ(run.out[2], 12u << 16); // sqrt(144) = 12.0 in Q16.16
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, SqrtLoopBothEngines,
+                         ::testing::Values("sqrt_tightly",
+                                           "sqrt_decoupled"));

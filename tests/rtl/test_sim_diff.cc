@@ -6,11 +6,13 @@
  * register, every cycle — over the full benchmark catalog under random
  * stimulus, plus targeted edge cases (wide nets, ROM out-of-bounds,
  * division by zero, oversized shifts, enable registers, fused
- * compare/mux chains, register chains).
+ * compare/mux chains, register chains). It also checks that reset()
+ * turns a used simulator back into a fresh one on both engines.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -279,4 +281,125 @@ TEST(SimDiffTest, EngineSelectionDefaults)
     setDefaultSimEngine(SimEngine::Compiled);
     EXPECT_EQ(Simulator(m).engine(), SimEngine::Compiled);
     setDefaultSimEngine(saved);
+}
+
+// ---------------------------------------------------------------------
+// Reset: the core models pool simulators across dynamic executions, so
+// a reset simulator must be indistinguishable from a fresh one.
+
+namespace {
+
+std::unique_ptr<Simulator>
+makeSimulator(const Module &module, SimEngine engine,
+              const std::shared_ptr<const simjit::Program> &program)
+{
+    if (engine == SimEngine::Compiled)
+        return std::make_unique<Simulator>(module, program);
+    return std::make_unique<Simulator>(module, SimEngine::Interp);
+}
+
+/** Dirty a simulator with one seeded stimulus, reset it, then drive a
+ * second stimulus into it and into a fresh simulator, comparing every
+ * net after each evalComb(). The second stimulus leaves a random
+ * subset of the inputs undriven each cycle (some never driven), so
+ * the reset inputs must read as a fresh simulator's. */
+void
+checkResetEqualsFresh(const Module &module, SimEngine engine,
+                      uint64_t seed, const std::string &what)
+{
+    auto program = simjit::Program::compile(module);
+    std::mt19937_64 rng(seed);
+    auto reused = makeSimulator(module, engine, program);
+    for (unsigned cycle = 0; cycle < 40; ++cycle) {
+        for (const auto &[name, net] : module.inputs())
+            reused->setInput(net, randomValue(rng, module.widthOf(net)));
+        reused->tick();
+    }
+    for (const auto &[name, net] : module.inputs())
+        reused->setInput(net, randomValue(rng, module.widthOf(net)));
+    reused->reset();
+
+    auto fresh = makeSimulator(module, engine, program);
+    for (unsigned cycle = 0; cycle < 60; ++cycle) {
+        for (const auto &[name, net] : module.inputs()) {
+            // Input 0 is never driven; the others half of the time.
+            if (net == module.inputs().front().second || rng() % 2)
+                continue;
+            ApInt value = randomValue(rng, module.widthOf(net));
+            reused->setInput(net, value);
+            fresh->setInput(net, value);
+        }
+        reused->evalComb();
+        fresh->evalComb();
+        for (NetId id = 0; id < NetId(module.numNets()); ++id)
+            ASSERT_TRUE(reused->net(id) == fresh->net(id))
+                << what << ": net " << id << " (" << module.netName(id)
+                << ") differs from a fresh simulator at cycle " << cycle;
+        reused->clockEdge();
+        fresh->clockEdge();
+    }
+}
+
+std::vector<std::string>
+catalogNames()
+{
+    std::vector<std::string> names;
+    for (const auto &entry : catalog::allIsaxes())
+        names.push_back(entry.name);
+    return names;
+}
+
+} // namespace
+
+class SimResetCatalogTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(SimResetCatalogTest, ResetSimulatorEqualsFreshOne)
+{
+    driver::CompileOptions options;
+    driver::CompiledIsax isax =
+        driver::compileCatalogIsax(GetParam(), options);
+    ASSERT_TRUE(isax.ok()) << isax.errors;
+    ASSERT_FALSE(isax.units.empty());
+    for (const auto &unit : isax.units) {
+        if (unit.module.module.inputs().empty())
+            continue;
+        for (SimEngine engine : {SimEngine::Interp, SimEngine::Compiled}) {
+            std::string what = GetParam() + "/" + unit.name + " (" +
+                               simEngineName(engine) + ")";
+            SCOPED_TRACE(what);
+            checkResetEqualsFresh(
+                unit.module.module, engine,
+                0x2E5E7ull ^ std::hash<std::string>{}(unit.name), what);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Catalog, SimResetCatalogTest, ::testing::ValuesIn(catalogNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+TEST(SimResetTest, EveryLaneResetsToFresh)
+{
+    // Inputs and registers in all three lanes: narrow, u128, ApInt.
+    Module m("lanes");
+    NetId n = m.addInput("n", 32);
+    NetId w2 = m.addInput("w2", 100);
+    NetId w = m.addInput("w", 200);
+    NetId en = m.addInput("en", 1);
+    NetId rn = m.addRegister(m.addNode(NodeKind::Add, 32, {n, n}), en,
+                             ApInt(32, 5));
+    NetId rw2 = m.addRegister(w2, invalidNet, ApInt(100, 3));
+    NetId rw = m.addRegister(w, en, ApInt(200, 9));
+    m.addOutput("n_out", m.addNode(NodeKind::Xor, 32, {rn, n}));
+    m.addOutput("w2_out", m.addNode(NodeKind::Add, 100, {rw2, w2}));
+    m.addOutput("w_out", m.addNode(NodeKind::Or, 200, {rw, w}));
+    for (SimEngine engine : {SimEngine::Interp, SimEngine::Compiled}) {
+        SCOPED_TRACE(simEngineName(engine));
+        for (uint64_t seed : {1u, 2u, 3u})
+            checkResetEqualsFresh(m, engine, seed, "lanes");
+    }
 }

@@ -21,7 +21,8 @@
  *                        docs/pass-pipeline.md)
  *     --dump-analysis=FILE
  *                        write a YAML dump of the per-value range and
- *                        demanded-bits analysis states
+ *                        demanded-bits analysis states (after the
+ *                        passes; with --lint, of the module linted)
  *     --lint             stop after static analysis; print findings
  *     --ln-codes         print the diagnostic-code registry as a
  *                        markdown table and exit
